@@ -7,11 +7,7 @@
  *     golden-shaped run (CwfRL, mcf, 8 cores) with per-component-group
  *     wall clock over every stepped tick.
  *
- *  2. Deep-queue scheduler stress: acted memory cycles per second of a
- *     raw channel under the linear reference scan and the indexed
- *     scheduler.
- *
- *  3. The six-config mcf golden sweep, serial vs. HETSIM_JOBS workers.
+ *  2. The six-config mcf golden sweep, serial vs. HETSIM_JOBS workers.
  *
  * Besides the usual table + CSV, a machine-readable summary is printed
  * between "--- bench json ---" markers; scripts/assemble_bench.sh
@@ -25,9 +21,7 @@
 #include <thread>
 
 #include "bench_util.hh"
-#include "common/rng.hh"
 #include "common/thread_pool.hh"
-#include "dram/channel.hh"
 #include "sim/golden.hh"
 #include "workloads/suite.hh"
 
@@ -42,28 +36,6 @@ secondsSince(std::chrono::steady_clock::time_point start)
 {
     const auto d = std::chrono::steady_clock::now() - start;
     return std::chrono::duration<double>(d).count();
-}
-
-struct TickRate
-{
-    double seconds = 0;
-    std::uint64_t ticks = 0; ///< acted cycles simulated
-    double ticksPerSec() const { return ticks / seconds; }
-};
-
-/** Best wall clock over a few repetitions; the single-run times here
- *  are tens of milliseconds, so scheduler jitter dominates without it. */
-template <typename Fn>
-TickRate
-bestOf(unsigned reps, Fn &&measure)
-{
-    TickRate best = measure();
-    for (unsigned i = 1; i < reps; ++i) {
-        const TickRate r = measure();
-        if (r.seconds < best.seconds)
-            best = r;
-    }
-    return best;
 }
 
 /** One golden-shaped run with the main-loop self-profiler armed. */
@@ -102,61 +74,6 @@ measureSweep(unsigned jobs)
     return secondsSince(start);
 }
 
-/**
- * Deep-queue scheduler stress: a raw two-rank DDR3 channel held at a
- * 32-entry read queue (plus write pressure that trips the drain
- * hysteresis), measuring acted memory cycles per second for one
- * scheduler implementation.  This isolates the per-cycle scan cost the
- * indexed scheduler (per-bank FIFOs + cached legality horizons)
- * removes; the traffic is identical across implementations.
- */
-TickRate
-measureDeepQueueOnce(dram::SchedImpl impl)
-{
-    const dram::DeviceParams dev = dram::DeviceParams::ddr3_1600();
-    dram::Channel chan("bench_deep", dev, 2);
-    chan.setSchedulerImpl(impl);
-    chan.setCallback([](dram::MemRequest &) {});
-
-    constexpr unsigned kQueueDepth = 32;
-    constexpr std::uint64_t kCycles = 400'000;
-    Rng rng(0xdeefULL);
-    std::uint64_t id = 0;
-    auto inject = [&](AccessType type, Tick now) {
-        dram::MemRequest req;
-        req.id = id;
-        req.cookie = id;
-        req.lineAddr = (id++) * 64ULL;
-        req.type = type;
-        req.coord = dram::DramCoord{
-            0, static_cast<std::uint8_t>(rng.below(2)),
-            static_cast<std::uint8_t>(rng.below(dev.banksPerRank)),
-            static_cast<std::uint32_t>(rng.below(48)),
-            static_cast<std::uint32_t>(rng.below(dev.lineColsPerRow))};
-        chan.enqueue(req, now);
-    };
-
-    const auto start = std::chrono::steady_clock::now();
-    Tick t = 0;
-    for (std::uint64_t c = 0; c < kCycles; ++c, t += dev.clockDivider) {
-        while (chan.pendingReads() < kQueueDepth &&
-               chan.canAccept(AccessType::Read)) {
-            inject(rng.chance(0.25) ? AccessType::Prefetch
-                                    : AccessType::Read,
-                   t);
-        }
-        while (chan.pendingWrites() < kQueueDepth / 2 &&
-               chan.canAccept(AccessType::Write)) {
-            inject(AccessType::Write, t);
-        }
-        chan.tick(t);
-    }
-    TickRate r;
-    r.seconds = secondsSince(start);
-    r.ticks = kCycles;
-    return r;
-}
-
 } // namespace
 
 int
@@ -164,8 +81,8 @@ main()
 {
     bench::printHeader(
         "Simulator performance", "main-loop profile and sweep throughput",
-        "n/a (engineering benchmark: per-component host cost, indexed "
-        "scheduler and the HETSIM_JOBS parallel sweep engine)");
+        "n/a (engineering benchmark: per-component host cost and the "
+        "HETSIM_JOBS parallel sweep engine)");
 
     const unsigned jobs = ThreadPool::jobsFromEnv();
     const unsigned detected_cpus =
@@ -191,26 +108,7 @@ main()
     std::cout << "\nmain-loop self-profile over " << prof.profile.ticks
               << " stepped ticks (HETSIM_PROFILE instrumentation)\n\n";
 
-    // ---- part 2: deep-queue scheduler stress ----
-    const TickRate dq_linear = bestOf(
-        3, [] { return measureDeepQueueOnce(dram::SchedImpl::Linear); });
-    const TickRate dq_indexed = bestOf(
-        3, [] { return measureDeepQueueOnce(dram::SchedImpl::Indexed); });
-    const double dq_speedup =
-        dq_indexed.ticksPerSec() / dq_linear.ticksPerSec();
-
-    Table t3({"scheduler", "acted cycles", "seconds", "cycles/sec"});
-    t3.addRow({"linear", std::to_string(dq_linear.ticks),
-               Table::num(dq_linear.seconds, 3),
-               Table::num(dq_linear.ticksPerSec() / 1e6, 2) + "M"});
-    t3.addRow({"indexed", std::to_string(dq_indexed.ticks),
-               Table::num(dq_indexed.seconds, 3),
-               Table::num(dq_indexed.ticksPerSec() / 1e6, 2) + "M"});
-    bench::printTableAndCsv(t3);
-    std::cout << "\ndeep-queue (32-entry) scheduler speedup "
-              << Table::num(dq_speedup, 2) << "x\n\n";
-
-    // ---- part 3: six-config mcf golden sweep ----
+    // ---- part 2: six-config mcf golden sweep ----
     // On a single-CPU host the "parallel" run cannot overlap work, so
     // the comparison degenerates into a worker-handoff overhead check —
     // record the detected CPU count and label the run honestly instead
@@ -236,15 +134,6 @@ main()
     json.setf(std::ios::fixed);
     json.precision(4);
     json << "{\n"
-         << "  \"deep_queue\": {\n"
-         << "    \"queue_depth\": 32,\n"
-         << "    \"acted_cycles\": " << dq_indexed.ticks << ",\n"
-         << "    \"linear_ticks_per_sec\": " << dq_linear.ticksPerSec()
-         << ",\n"
-         << "    \"indexed_ticks_per_sec\": " << dq_indexed.ticksPerSec()
-         << ",\n"
-         << "    \"speedup\": " << dq_speedup << "\n"
-         << "  },\n"
          << "  \"sweep\": {\n"
          << "    \"configs\": 6,\n"
          << "    \"workload\": \"" << kGoldenBenchmark << "\",\n"

@@ -1,7 +1,6 @@
 #include "cache/hierarchy.hh"
 
 #include "check/checker.hh"
-#include "common/attrib.hh"
 #include "common/log.hh"
 #include "common/trace.hh"
 
@@ -81,8 +80,8 @@ Hierarchy::accessImpl(std::uint8_t core, std::uint16_t slot, Addr addr,
 
     // 2. Private L1.
     if (l1s_[core]->access(line, is_store)) {
-        attrib::sample(stats_.lookupLatencyHist,
-                       static_cast<double>(params_.l1Latency));
+        stats_.lookupLatencyHist.sample(
+            static_cast<double>(params_.l1Latency));
         return {Outcome::Ready, now + params_.l1Latency, HitLevel::L1};
     }
 
@@ -90,8 +89,8 @@ Hierarchy::accessImpl(std::uint8_t core, std::uint16_t slot, Addr addr,
     if (l2_.access(line, /*mark_dirty=*/false)) {
         fillL1(core, line, is_store);
         trainAndPrefetch(core, line, now);
-        attrib::sample(stats_.lookupLatencyHist,
-                       static_cast<double>(params_.l2Latency));
+        stats_.lookupLatencyHist.sample(
+            static_cast<double>(params_.l2Latency));
         return {Outcome::Ready, now + params_.l2Latency, HitLevel::L2};
     }
 
@@ -201,10 +200,8 @@ Hierarchy::onCriticalArrived(std::uint64_t mshr_id, Tick now,
                 wake_(it->coreId, it->robSlot, now);
             stats_.earlyWakes.inc();
             entry.earlyWoke = true;
-            if (attrib::enabled()) {
-                stats_.mshrWaitHist.sample(
-                    static_cast<double>(now - it->joinTick));
-            }
+            stats_.mshrWaitHist.sample(
+                static_cast<double>(now - it->joinTick));
             HETSIM_TRACE_EVENT(trace::Event::EarlyWake, now, entry.id,
                                entry.lineAddr, it->coreId, 0, 0, it->word);
             it = waiters.erase(it);
@@ -270,10 +267,8 @@ Hierarchy::onLineCompleted(std::uint64_t mshr_id, Tick now)
     for (const auto &waiter : entry.waiters) {
         if (wake_)
             wake_(waiter.coreId, waiter.robSlot, now);
-        if (attrib::enabled()) {
-            stats_.mshrWaitHist.sample(
-                static_cast<double>(now - waiter.joinTick));
-        }
+        stats_.mshrWaitHist.sample(
+            static_cast<double>(now - waiter.joinTick));
     }
     entry.waiters.clear();
 

@@ -1,32 +1,7 @@
 #include "common/attrib.hh"
 
-#include <cstdlib>
-#include <cstring>
-
 namespace hetsim::attrib
 {
-
-namespace detail
-{
-std::atomic<bool> g_attribEnabled{true};
-} // namespace detail
-
-namespace
-{
-/** Resolve HETSIM_ATTRIB before main() so every System (including the
- *  pre-main static ones tests construct) sees one consistent setting. */
-[[maybe_unused]] const bool g_envConfigured = [] {
-    if (const char *env = std::getenv("HETSIM_ATTRIB"))
-        detail::g_attribEnabled = std::strcmp(env, "0") != 0;
-    return true;
-}();
-} // namespace
-
-void
-setEnabled(bool on)
-{
-    detail::g_attribEnabled = on;
-}
 
 const char *
 toString(Phase phase)

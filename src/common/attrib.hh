@@ -1,25 +1,13 @@
 /**
  * @file
- * Latency-attribution gate and the canonical per-request phase
- * catalogue.
- *
- * Attribution (per-request phase histograms, per-core CPI stacks) is
- * observation-only: the MemRequest timestamps are always written (they
- * are trivially cheap plain stores), but rolling them into histograms
- * and counting CPI buckets every cycle is gated on a process-global
- * flag so the A/B contract — identical golden digests with attribution
- * on and off — is testable from the environment:
- *
- *   HETSIM_ATTRIB=0   disable phase/CPI accumulation (default: on)
- *
- * The gate mirrors common/trace.hh: one relaxed atomic load per site,
- * configured from the environment before main().
+ * The canonical per-request phase catalogue of the latency attribution
+ * (per-request phase histograms, per-core CPI stacks; DESIGN.md
+ * section 12).
  */
 
 #ifndef HETSIM_COMMON_ATTRIB_HH
 #define HETSIM_COMMON_ATTRIB_HH
 
-#include <atomic>
 #include <cstdint>
 
 namespace hetsim::attrib
@@ -43,32 +31,6 @@ enum class Phase : std::uint8_t {
 };
 
 const char *toString(Phase phase);
-
-namespace detail
-{
-/** Hot-path gate; relaxed reads (enable/disable only while no
- *  simulations execute, exactly like the trace/check gates). */
-extern std::atomic<bool> g_attribEnabled;
-} // namespace detail
-
-/** Is phase/CPI accumulation on? One atomic load. */
-inline bool
-enabled()
-{
-    return detail::g_attribEnabled.load(std::memory_order_relaxed);
-}
-
-/** Programmatic override (tests); the environment sets the default. */
-void setEnabled(bool on);
-
-/** Gated histogram sample: one relaxed load, then h.sample(v). */
-template <typename H>
-inline void
-sample(H &h, double v)
-{
-    if (enabled())
-        h.sample(v);
-}
 
 } // namespace hetsim::attrib
 

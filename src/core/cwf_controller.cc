@@ -11,7 +11,6 @@
 #include <algorithm>
 
 #include "check/checker.hh"
-#include "common/attrib.hh"
 #include "common/log.hh"
 #include "common/trace.hh"
 #include "core/hetero_memory.hh"
@@ -311,12 +310,10 @@ CwfHeteroMemory::maybeComplete(std::uint64_t mshr_id, PendingFill &pending)
     if (!pending.fastDone || !pending.slowDone)
         return;
     const Tick done = std::max(pending.fastTick, pending.slowTick);
-    if (attrib::enabled()) {
-        const Tick bulk_wait = pending.slowTick > pending.fastTick
-                                   ? pending.slowTick - pending.fastTick
-                                   : 0;
-        bulkWaitHist_.sample(static_cast<double>(bulk_wait));
-    }
+    const Tick bulk_wait = pending.slowTick > pending.fastTick
+                               ? pending.slowTick - pending.fastTick
+                               : 0;
+    bulkWaitHist_.sample(static_cast<double>(bulk_wait));
     // A parity-detected fast-word fault is resolved here: the whole
     // line (bulk copy included) has arrived, so the faulty word was
     // corrected off the ECC-protected slow fragment.

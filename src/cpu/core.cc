@@ -1,6 +1,5 @@
 #include "cpu/core.hh"
 
-#include "common/attrib.hh"
 #include "common/log.hh"
 
 namespace hetsim::cpu
@@ -106,12 +105,9 @@ Core::tick(Tick now)
     robOccupancySum_ += count_;
 
     // ---- CPI-stack attribution ----
-    if (attrib::enabled()) {
-        const CpiBucket bucket = retired_ != retired_before
-                                     ? CpiBucket::Compute
-                                     : stallBucket();
-        cpi_[static_cast<unsigned>(bucket)] += 1;
-    }
+    const CpiBucket bucket =
+        retired_ != retired_before ? CpiBucket::Compute : stallBucket();
+    cpi_[static_cast<unsigned>(bucket)] += 1;
 }
 
 Core::CpiBucket

@@ -62,8 +62,7 @@ class Core
     /**
      * CPI-stack cycle attribution (DESIGN.md section 12).  Every core
      * cycle of a measurement window lands in exactly one bucket, so the
-     * bucket sum equals the window's tick count (gated by
-     * HETSIM_ATTRIB).
+     * bucket sum equals the window's tick count.
      */
     enum class CpiBucket : std::uint8_t {
         Compute,       ///< at least one instruction retired

@@ -1,9 +1,5 @@
 #include "dram/channel.hh"
 
-#include <algorithm>
-#include <cstdlib>
-#include <cstring>
-
 #include "check/checker.hh"
 #include "common/attrib.hh"
 #include "common/log.hh"
@@ -34,25 +30,6 @@ toString(DramCmd cmd)
     return "?";
 }
 
-SchedImpl
-Channel::schedImplFromEnv()
-{
-    if (const char *env = std::getenv("HETSIM_SCHED")) {
-        if (std::strcmp(env, "linear") == 0)
-            return SchedImpl::Linear;
-    }
-    return SchedImpl::Indexed;
-}
-
-void
-Channel::setSchedulerImpl(SchedImpl impl)
-{
-    sim_assert(readQ_.empty() && writeQ_.empty(),
-               name_, ": scheduler switch with queued transactions");
-    schedImpl_ = impl;
-    markAllRanksDirty();
-}
-
 Channel::Channel(std::string name, const DeviceParams &params,
                  unsigned ranks, SchedulerPolicy policy,
                  AddrBusArbiter *shared_cmd_bus)
@@ -62,11 +39,6 @@ Channel::Channel(std::string name, const DeviceParams &params,
       chipsPerRank_(params.chipsPerRank),
       pendingPerRank_(ranks, 0),
       lastWriteDataEnd_(ranks, 0),
-      schedImpl_(schedImplFromEnv()),
-      bankQ_(static_cast<std::size_t>(ranks) * params.banksPerRank),
-      horizon_(static_cast<std::size_t>(ranks) * params.banksPerRank),
-      rankDirty_(ranks, 1),
-      bankDirty_(static_cast<std::size_t>(ranks) * params.banksPerRank, 1),
       lastColumnPerBank_(static_cast<std::size_t>(ranks) *
                              params.banksPerRank,
                          kTickNever)
@@ -80,11 +52,6 @@ Channel::Channel(std::string name, const DeviceParams &params,
     readQ_.reserve(policy_.readQueueCap);
     writeQ_.reserve(policy_.writeQueueCap);
     audit_.reserve(256);
-    prepCands_.reserve(bankQ_.size());
-    for (auto &bq : bankQ_) {
-        bq.read.reserve(8);
-        bq.write.reserve(8);
-    }
 }
 
 Channel::~Channel()
@@ -109,7 +76,6 @@ Channel::enqueue(MemRequest req, Tick now)
     sim_assert(req.coord.rank < ranks_.size(), "rank out of range");
     sim_assert(req.coord.bank < params_.banksPerRank, "bank out of range");
     req.enqueue = now;
-    req.seq = seqCounter_++;
     HETSIM_TRACE_EVENT(trace::Event::Enqueue, now, req.cookie,
                        req.lineAddr, req.coreId, req.coord.channel,
                        req.part, req.coord.bank);
@@ -133,18 +99,11 @@ Channel::enqueue(MemRequest req, Tick now)
         }
         pendingPerRank_[req.coord.rank] += 1;
         readQ_.push_back(std::make_unique<MemRequest>(req));
-        readQ_.back()->qpos =
-            static_cast<std::uint32_t>(readQ_.size() - 1);
-        indexInsert(*readQ_.back());
     } else {
         pendingPerRank_[req.coord.rank] += 1;
         pendingWriteLines_[forwardKey(req)] += 1;
         writeQ_.push_back(std::make_unique<MemRequest>(req));
-        writeQ_.back()->qpos =
-            static_cast<std::uint32_t>(writeQ_.size() - 1);
-        indexInsert(*writeQ_.back());
     }
-    markBankDirty(bankSlot(req.coord));
 }
 
 bool
@@ -185,209 +144,6 @@ Channel::tick(Tick now)
         rank.accountCycle(now, cycleTicks_);
 }
 
-// ---------------------------------------------------------------------
-// Bank request index + cached legality horizons (DESIGN.md Section 11).
-// ---------------------------------------------------------------------
-
-void
-Channel::indexInsert(MemRequest &req)
-{
-    BankQueues &bq = bankQ_[bankSlot(req.coord)];
-    auto &fifo = req.isRead() ? bq.read : bq.write;
-    // Enqueue order is seq order, so push_back keeps the FIFO sorted.
-    fifo.push_back(&req);
-}
-
-void
-Channel::indexRemove(const MemRequest &req)
-{
-    BankQueues &bq = bankQ_[bankSlot(req.coord)];
-    auto &fifo = req.isRead() ? bq.read : bq.write;
-    auto it = std::find(fifo.begin(), fifo.end(), &req);
-    sim_assert(it != fifo.end(), name_, ": bank index missing request");
-    fifo.erase(it); // ordered erase keeps the per-bank FIFO stable
-}
-
-void
-Channel::markBankDirty(std::size_t slot)
-{
-    bankDirty_[slot] = 1;
-    anyDirty_ = true;
-    combinedValid_ = false;
-}
-
-void
-Channel::markRankDirty(unsigned rank)
-{
-    rankDirty_[rank] = 1;
-    anyDirty_ = true;
-    combinedValid_ = false;
-}
-
-void
-Channel::markAllRanksDirty() const
-{
-    std::fill(rankDirty_.begin(), rankDirty_.end(), 1);
-    anyDirty_ = true;
-    combinedValid_ = false;
-}
-
-Channel::BankHorizon
-Channel::computeBankHorizon(unsigned r, unsigned b, bool write_mode) const
-{
-    const BankQueues &bq = bankQ_[r * params_.banksPerRank + b];
-    const auto &fifo = write_mode ? bq.write : bq.read;
-    BankHorizon h{kTickNever, kTickNever};
-    if (fifo.empty())
-        return h;
-
-    const Rank &rank = ranks_[r];
-    const Bank &bank = rank.banks[b];
-    const bool open = params_.tRCD != 0 && bank.isOpen();
-
-    // One pass: earliest pending arrival (packetised front-ends enqueue
-    // with future ticks; the min over the whole FIFO is a never-late
-    // bound for every priority class, keeping horizons independent of
-    // prefetch promotion) plus the open-row hit/miss census.
-    Tick min_arrival = kTickNever;
-    bool any_hit = false;
-    bool any_miss = false;
-    for (const MemRequest *req : fifo) {
-        min_arrival = std::min(min_arrival, req->enqueue);
-        if (open) {
-            if (bank.openRow == static_cast<std::int64_t>(req->coord.row))
-                any_hit = true;
-            else
-                any_miss = true;
-        }
-    }
-
-    if (rank.poweredDown()) {
-        // The first arrived request wakes the rank (a scheduler side
-        // effect in its own right); nothing can happen before that.
-        return BankHorizon{min_arrival, min_arrival};
-    }
-    // Rank-level command gate: mid-refresh or wake settling (tXP).
-    const Tick rank_gate =
-        std::max(rank.refreshingUntil, rank.wakeReadyAt());
-
-    if (params_.tRCD == 0) {
-        // Compound access: bank ready plus rank tRRD/tFAW; preparation
-        // commands never apply.
-        const Tick ready =
-            std::max(bank.nextActivate, rank.earliestActivate());
-        h.col = std::max({ready, rank_gate, min_arrival});
-        return h;
-    }
-
-    if (open) {
-        if (any_hit)
-            h.col = std::max({bank.nextColumn, rank_gate, min_arrival});
-        // any_miss is a class-free superset of "the steering request
-        // wants a different row": the authoritative tryPrep still
-        // refuses to close a row its oldest requester is waiting on.
-        if (any_miss)
-            h.prep = std::max({bank.nextPrecharge, rank_gate, min_arrival});
-    } else {
-        const Tick act =
-            std::max(bank.nextActivate, rank.earliestActivate());
-        h.prep = std::max({act, rank_gate, min_arrival});
-    }
-    return h;
-}
-
-void
-Channel::refreshHorizons(bool write_mode) const
-{
-    if (write_mode != horizonModeWrite_) {
-        horizonModeWrite_ = write_mode;
-        markAllRanksDirty();
-    }
-    if (!anyDirty_)
-        return;
-    for (unsigned r = 0; r < ranks_.size(); ++r) {
-        const std::size_t base =
-            static_cast<std::size_t>(r) * params_.banksPerRank;
-        if (rankDirty_[r]) {
-            rankDirty_[r] = 0;
-            for (unsigned b = 0; b < params_.banksPerRank; ++b) {
-                bankDirty_[base + b] = 0;
-                horizon_[base + b] =
-                    computeBankHorizon(r, b, write_mode);
-            }
-            continue;
-        }
-        for (unsigned b = 0; b < params_.banksPerRank; ++b) {
-            if (bankDirty_[base + b]) {
-                bankDirty_[base + b] = 0;
-                horizon_[base + b] =
-                    computeBankHorizon(r, b, write_mode);
-            }
-        }
-    }
-    anyDirty_ = false;
-}
-
-Tick
-Channel::busEarliest(bool is_write, unsigned r) const
-{
-    const Tick lat =
-        params_.ticks(is_write ? params_.tWL : params_.tRL);
-    Tick t = 0;
-    // A column at `now` starts data at now+lat, so a data-ready tick d
-    // translates to a command gate of d-lat (mirroring tryColumn's
-    // data_start comparisons exactly).
-    auto gate = [&](Tick data_ready) {
-        if (data_ready > lat)
-            t = std::max(t, data_ready - lat);
-    };
-    gate(dataBusFreeAt_);
-    if (lastDataRank_ >= 0 && lastDataRank_ != static_cast<int>(r))
-        gate(lastDataEnd_ + params_.ticks(params_.tRTRS));
-    if (!is_write) {
-        // tWTR gates the command tick itself, not the data start.
-        t = std::max(t,
-                     lastWriteDataEnd_[r] + params_.ticks(params_.tWTR));
-        if (lastDataWasWrite_)
-            gate(lastDataEnd_ + params_.ticks(params_.tRTRS));
-    } else if (!lastDataWasWrite_ && lastDataEnd_ > 0) {
-        gate(lastDataEnd_ + params_.ticks(params_.tRTRS));
-    }
-    return t;
-}
-
-Tick
-Channel::schedulerHorizon() const
-{
-    const bool write_mode = draining_ && !writeQ_.empty();
-    const auto &queue = write_mode ? writeQ_ : readQ_;
-    if (queue.empty())
-        return kTickNever;
-    refreshHorizons(write_mode);
-    if (combinedValid_)
-        return combinedHorizon_;
-    Tick best = kTickNever;
-    for (unsigned r = 0; r < ranks_.size(); ++r) {
-        const Tick bus = busEarliest(write_mode, r);
-        for (unsigned b = 0; b < params_.banksPerRank; ++b) {
-            const BankHorizon &h =
-                horizon_[static_cast<std::size_t>(r) *
-                             params_.banksPerRank +
-                         b];
-            // col is additionally gated by the shared data bus; prep
-            // (and the powered-down wake, which collapses both fields
-            // to the earliest arrival) is not.
-            if (h.col != kTickNever)
-                best = std::min(best, std::max(h.col, bus));
-            if (h.prep != kTickNever)
-                best = std::min(best, h.prep);
-        }
-    }
-    combinedHorizon_ = best;
-    combinedValid_ = true;
-    return best;
-}
-
 void
 Channel::completeReads(Tick now)
 {
@@ -406,16 +162,14 @@ Channel::completeReads(Tick now)
                 static_cast<double>(done->serviceLatency()));
             stats_.totalLatency.sample(
                 static_cast<double>(done->totalLatency()));
-            if (attrib::enabled()) {
-                stats_.phaseQueueHist.sample(
-                    static_cast<double>(done->queuePhase()));
-                stats_.phasePrepHist.sample(
-                    static_cast<double>(done->prepPhase()));
-                stats_.phaseCasHist.sample(
-                    static_cast<double>(done->casPhase()));
-                stats_.phaseBusHist.sample(
-                    static_cast<double>(done->busPhase()));
-            }
+            stats_.phaseQueueHist.sample(
+                static_cast<double>(done->queuePhase()));
+            stats_.phasePrepHist.sample(
+                static_cast<double>(done->prepPhase()));
+            stats_.phaseCasHist.sample(
+                static_cast<double>(done->casPhase()));
+            stats_.phaseBusHist.sample(
+                static_cast<double>(done->busPhase()));
         } else {
             stats_.prefetchReads.inc();
         }
@@ -479,7 +233,6 @@ Channel::manageRefresh(Tick now)
         if (blocked)
             continue;
         rank.startRefresh(now);
-        markRankDirty(rank.index());
         stats_.refreshes.inc();
         recordAudit(DramCmd::Refresh, now,
                     DramCoord{0, static_cast<std::uint8_t>(rank.index()), 0,
@@ -514,7 +267,6 @@ Channel::managePowerDown(Tick now)
         if (!settled)
             continue;
         rank.enterPowerDown(now);
-        markRankDirty(r);
         check::onRankPowerDown(this, name_, params_, r, now);
         stats_.powerDownEntries.inc();
     }
@@ -545,7 +297,6 @@ Channel::wakeRank(unsigned rank, Tick now)
 {
     ranks_[rank].exitPowerDown(now);
     check::onRankWake(this, name_, params_, rank, now);
-    markRankDirty(rank);
 }
 
 void
@@ -591,10 +342,6 @@ Channel::finishColumnIssue(MemRequest &req, Tick now, Tick data_start)
         req.firstIssue = now;
     req.complete = data_end;
     ranks_[req.coord.rank].lastCommand = now;
-    // Bank timing moved, and the global bus state folded into the
-    // combined horizon moved with it.  Compound (RLDRAM) columns also
-    // dirty rank-level activate state via tryColumn's commit path.
-    markBankDirty(bank_slot);
 }
 
 void

@@ -97,15 +97,6 @@ struct SchedulerPolicy
     Tick prefetchPromoteAge = 3200; // 1 us at 3.2 GHz
 };
 
-/**
- * Command-scheduler implementation selector.  Both produce the *same
- * command stream at the same ticks* — Indexed is the production path
- * (per-bank FIFOs plus cached legality horizons, work proportional to
- * banks-with-work); Linear is the original full-queue four-pass scan,
- * kept as the differential-testing reference (`HETSIM_SCHED=linear`).
- */
-enum class SchedImpl : std::uint8_t { Indexed, Linear };
-
 class Channel
 {
   public:
@@ -205,89 +196,25 @@ class Channel
     const std::vector<AuditEvent> &audit() const { return audit_; }
     void clearAudit() { audit_.clear(); }
 
-    // ---- scheduler implementation selection ----
-    /** Resolve the default implementation from `HETSIM_SCHED`
-     *  (`linear` selects the reference scan; anything else Indexed). */
-    static SchedImpl schedImplFromEnv();
-    SchedImpl schedulerImpl() const { return schedImpl_; }
-    /** Switch implementations; only legal while the queues are empty
-     *  (the linear scan relies on arrival-ordered queue vectors, which
-     *  the indexed path's swap-with-back erase does not maintain). */
-    void setSchedulerImpl(SchedImpl impl);
-
   private:
     using ReqPtr = std::unique_ptr<MemRequest>;
-
-    /**
-     * Per-(rank,bank) arrival-ordered views of the transaction queues.
-     * The FIFOs hold raw pointers into readQ_/writeQ_ (unique_ptr
-     * targets are address-stable) in ascending MemRequest::seq order, so
-     * FR-FCFS candidate selection walks only the banks that have work.
-     */
-    struct BankQueues
-    {
-        std::vector<MemRequest *> read;
-        std::vector<MemRequest *> write;
-    };
-
-    /**
-     * Cached legality horizon of one bank: the earliest tick at which
-     * the scheduler could possibly act on it — issue a column command
-     * (@c col, still subject to the channel-global data-bus gate) or a
-     * preparation command (@c prep), or wake its powered-down rank
-     * (both fields collapse to the earliest pending arrival then).
-     * kTickNever means "impossible until some invalidating event".
-     * Horizons never over-estimate; they may be conservatively early.
-     */
-    struct BankHorizon
-    {
-        Tick col = 0;
-        Tick prep = 0;
-    };
 
     // Implemented in scheduler.cc: one FR-FCFS scheduling step.
     void scheduleCommand(Tick now);
     bool tryIssueFrom(std::vector<ReqPtr> &queue, bool is_write_queue,
                       Tick now);
-    bool tryIssueIndexed(bool is_write_queue, Tick now);
     bool tryColumn(MemRequest &req, Tick now, bool commit);
     bool tryPrep(MemRequest &req, Tick now);
-    /** Finish a committed column: retire @p req from its queue and the
-     *  bank index, push reads in flight.  @p linear_idx is the owning
-     *  vector position (ordered erase under Linear, swap-with-back
-     *  otherwise). */
-    void retireIssued(std::vector<ReqPtr> &queue, std::size_t linear_idx,
+    /** Finish a committed column: erase queue[@p idx] (keeping arrival
+     *  order) and push reads in flight. */
+    void retireIssued(std::vector<ReqPtr> &queue, std::size_t idx,
                       bool is_write_queue);
 
-    // Bank index + legality horizons (channel.cc).
-    std::size_t bankSlot(const DramCoord &coord) const
-    {
-        return static_cast<std::size_t>(coord.rank) * params_.banksPerRank +
-               coord.bank;
-    }
     static std::uint64_t
     forwardKey(const MemRequest &req)
     {
         return (static_cast<std::uint64_t>(req.lineAddr) << 2) | req.part;
     }
-    void indexInsert(MemRequest &req);
-    void indexRemove(const MemRequest &req);
-    /** Invalidate one bank's horizon (enqueue, column, precharge). */
-    void markBankDirty(std::size_t slot);
-    /** Invalidate a whole rank (activate, refresh, power transitions —
-     *  anything touching rank-level timing or power state). */
-    void markRankDirty(unsigned rank);
-    void markAllRanksDirty() const;
-    BankHorizon computeBankHorizon(unsigned rank, unsigned bank,
-                                   bool write_mode) const;
-    void refreshHorizons(bool write_mode) const;
-    /** Earliest `now` at which a column of the given direction could
-     *  start on @p rank given the shared data-bus state. */
-    Tick busEarliest(bool is_write, unsigned rank) const;
-    /** Earliest tick at which the scheduler could issue any command or
-     *  wake any rank, given current queue/drain/bus/bank state;
-     *  kTickNever when the scanned queue is empty. */
-    Tick schedulerHorizon() const;
 
     // Implemented in channel.cc.
     void completeReads(Tick now);
@@ -318,29 +245,12 @@ class Channel
     std::vector<ReqPtr> writeQ_;
     bool draining_ = false;
 
-    SchedImpl schedImpl_;
-    /** Arrival sequence source; total order across both queues. */
-    std::uint64_t seqCounter_ = 0;
-    /** Per-(rank,bank) FIFO views of the queues (ranks * banksPerRank). */
-    std::vector<BankQueues> bankQ_;
     /** Queued-write index keyed by (lineAddr << 2) | part -> count, for
      *  O(1) read forwarding in enqueue(); counts rather than positions
      *  so duplicate lines forward for as long as any (i.e. including
      *  the youngest) matching write is still queued. */
     std::unordered_map<std::uint64_t, std::uint32_t> pendingWriteLines_;
 
-    /** Scratch list of pass-2 steering candidates (kept across calls to
-     *  avoid per-cycle allocation). */
-    std::vector<MemRequest *> prepCands_;
-
-    // Cached legality horizons (lazily recomputed; see DESIGN.md §11).
-    mutable std::vector<BankHorizon> horizon_;
-    mutable std::vector<std::uint8_t> rankDirty_;
-    mutable std::vector<std::uint8_t> bankDirty_;
-    mutable bool anyDirty_ = true;
-    mutable bool horizonModeWrite_ = false;
-    mutable Tick combinedHorizon_ = 0;
-    mutable bool combinedValid_ = false;
     struct InflightCmp
     {
         bool

@@ -40,19 +40,6 @@ Rank::rrdAllows(Tick now) const
     return now >= lastActivate_ + params_.ticks(params_.tRRD);
 }
 
-Tick
-Rank::earliestActivate() const
-{
-    Tick t = 0;
-    if (params_.tRRD != 0 && lastActivate_ != kTickNever)
-        t = lastActivate_ + params_.ticks(params_.tRRD);
-    if (params_.tFAW != 0 && actCount_ >= actWindow_.size()) {
-        t = std::max(t, actWindow_[actWindowIdx_] +
-                            params_.ticks(params_.tFAW));
-    }
-    return t;
-}
-
 void
 Rank::recordActivate(Tick now)
 {

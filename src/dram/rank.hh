@@ -67,10 +67,6 @@ class Rank
     bool rrdAllows(Tick now) const;
     void recordActivate(Tick now);
 
-    /** Earliest tick at which both fawAllows() and rrdAllows() hold —
-     *  the rank-level component of a bank's legality horizon. */
-    Tick earliestActivate() const;
-
     // ---- power-down ----
     bool poweredDown() const { return poweredDown_; }
     /** Tick of the last command addressed to this rank. */
@@ -81,8 +77,6 @@ class Rank
     void exitPowerDown(Tick now);
     /** Earliest tick a command may issue given power state. */
     Tick readyAfterWake(Tick now) const;
-    /** Absolute wake-settle tick (tXP expiry; 0 if never slept). */
-    Tick wakeReadyAt() const { return wakeReady_; }
 
     // ---- refresh ----
     Tick nextRefreshDue = kTickNever;

@@ -70,15 +70,6 @@ struct MemRequest
      *  (false at column time means a row-buffer hit). */
     bool neededActivate = false;
 
-    /** Controller arrival sequence number (assigned at enqueue; total
-     *  order even when several requests share an enqueue tick).  The
-     *  FR-FCFS "oldest first" tie-break is defined over this. */
-    std::uint64_t seq = 0;
-    /** Current position in the owning transaction-queue vector
-     *  (maintained by the indexed scheduler's swap-with-back erase;
-     *  stale — and unused — under the linear reference scheduler). */
-    std::uint32_t qpos = 0;
-
     bool isRead() const { return type != AccessType::Write; }
     bool isDemand() const { return type == AccessType::Read; }
 

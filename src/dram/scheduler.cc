@@ -19,34 +19,18 @@ namespace hetsim::dram
 void
 Channel::scheduleCommand(Tick now)
 {
-    std::vector<ReqPtr> *queue = &readQ_;
-    bool is_write = false;
-    if (draining_ && !writeQ_.empty()) {
-        queue = &writeQ_;
-        is_write = true;
-    }
-    if (queue->empty())
-        return;
-    if (schedImpl_ == SchedImpl::Linear) {
-        tryIssueFrom(*queue, is_write, now);
-        return;
-    }
-    // Fast reject: when the cached combined horizon says no bank can
-    // accept a command and no powered-down rank can be woken yet, the
-    // whole scan (including every shared-bus arbitration attempt the
-    // linear scan could have made) is provably a no-op.
-    if (now < schedulerHorizon())
-        return;
-    tryIssueIndexed(is_write, now);
+    if (draining_ && !writeQ_.empty())
+        tryIssueFrom(writeQ_, /*is_write_queue=*/true, now);
+    else if (!readQ_.empty())
+        tryIssueFrom(readQ_, /*is_write_queue=*/false, now);
 }
 
 void
-Channel::retireIssued(std::vector<ReqPtr> &queue, std::size_t linear_idx,
+Channel::retireIssued(std::vector<ReqPtr> &queue, std::size_t idx,
                       bool is_write_queue)
 {
-    MemRequest &req = *queue[linear_idx];
+    MemRequest &req = *queue[idx];
     pendingPerRank_[req.coord.rank] -= 1;
-    indexRemove(req);
     if (is_write_queue) {
         auto it = pendingWriteLines_.find(forwardKey(req));
         sim_assert(it != pendingWriteLines_.end() && it->second > 0,
@@ -55,179 +39,11 @@ Channel::retireIssued(std::vector<ReqPtr> &queue, std::size_t linear_idx,
             pendingWriteLines_.erase(it);
     }
     if (req.isRead())
-        inflight_.push(std::move(queue[linear_idx]));
+        inflight_.push(std::move(queue[idx]));
     else
         stats_.writes.inc();
-    if (schedImpl_ == SchedImpl::Linear) {
-        // The linear scan depends on the queue vector staying in
-        // arrival order, so it pays for the middle erase.
-        queue.erase(queue.begin() +
-                    static_cast<std::ptrdiff_t>(linear_idx));
-    } else {
-        // Arrival order lives in the per-bank FIFOs instead; the flat
-        // queue is an unordered pool and can swap-with-back in O(1).
-        if (linear_idx != queue.size() - 1) {
-            queue[linear_idx] = std::move(queue.back());
-            queue[linear_idx]->qpos =
-                static_cast<std::uint32_t>(linear_idx);
-        }
-        queue.pop_back();
-    }
-}
-
-bool
-Channel::tryIssueIndexed(bool is_write_queue, Tick now)
-{
-    auto klass = [&](const MemRequest &req) {
-        if (is_write_queue || req.isDemand())
-            return 0;
-        return now - req.enqueue >= policy_.prefetchPromoteAge ? 0 : 1;
-    };
-    // Oldest arrived request of the scanned class in @p fifo, or null.
-    auto head = [&](const std::vector<MemRequest *> &fifo, int cls) {
-        for (MemRequest *req : fifo) {
-            if (req->enqueue <= now && klass(*req) == cls)
-                return req;
-        }
-        return static_cast<MemRequest *>(nullptr);
-    };
-
-    refreshHorizons(is_write_queue);
-    const unsigned nranks = static_cast<unsigned>(ranks_.size());
-    const bool compound = params_.tRCD == 0;
-
-    for (int cls = 0; cls < 2; ++cls) {
-        // ---- pass 1: column-ready requests, oldest first ----
-        //
-        // The linear reference scans the whole queue in arrival order;
-        // per bank only one request can pass tryColumn's row check (the
-        // oldest arrived class-cls row-hit), so the global pick is the
-        // seq-minimum over per-bank candidates from the banks whose
-        // column horizon (and the data bus) has matured.  Powered-down
-        // ranks never reach tryColumn: their oldest arrived class-cls
-        // request is a wake trigger instead, applied exactly when the
-        // linear scan would have reached it (i.e. trigger.seq below the
-        // winning candidate's seq, or unconditionally when nothing
-        // issues).
-        constexpr unsigned kMaxRanks = 16;
-        sim_assert(nranks <= kMaxRanks,
-                   "rank count overflows wake-trigger set");
-        MemRequest *best = nullptr;
-        MemRequest *wake_trigger[kMaxRanks] = {};
-
-        for (unsigned r = 0; r < nranks; ++r) {
-            Rank &rank = ranks_[r];
-            const bool pd = rank.poweredDown();
-            const Tick bus = busEarliest(is_write_queue, r);
-            const bool avail = !pd && rankAvailable(rank, now);
-            for (unsigned b = 0; b < params_.banksPerRank; ++b) {
-                const std::size_t slot =
-                    static_cast<std::size_t>(r) * params_.banksPerRank +
-                    b;
-                const BankQueues &bq = bankQ_[slot];
-                const auto &fifo =
-                    is_write_queue ? bq.write : bq.read;
-                if (fifo.empty())
-                    continue;
-                if (pd) {
-                    MemRequest *trig = head(fifo, cls);
-                    if (trig && (!wake_trigger[r] ||
-                                 trig->seq < wake_trigger[r]->seq)) {
-                        wake_trigger[r] = trig;
-                    }
-                    continue;
-                }
-                if (!avail)
-                    continue;
-                const BankHorizon &h = horizon_[slot];
-                if (h.col == kTickNever || std::max(h.col, bus) > now)
-                    continue;
-                const Bank &bank = rank.banks[b];
-                MemRequest *cand = nullptr;
-                if (!compound && bank.isOpen()) {
-                    // Only the open row's requests can pass tryColumn.
-                    for (MemRequest *req : fifo) {
-                        if (req->enqueue <= now && klass(*req) == cls &&
-                            bank.openRow ==
-                                static_cast<std::int64_t>(
-                                    req->coord.row)) {
-                            cand = req;
-                            break;
-                        }
-                    }
-                } else {
-                    cand = head(fifo, cls);
-                }
-                if (!cand || !tryColumn(*cand, now, /*commit=*/false))
-                    continue;
-                if (!best || cand->seq < best->seq)
-                    best = cand;
-            }
-        }
-
-        // Wake side effects the linear scan would have applied before
-        // reaching (or in the absence of) the issuing request.
-        for (unsigned r = 0; r < nranks; ++r) {
-            if (wake_trigger[r] &&
-                (!best || wake_trigger[r]->seq < best->seq)) {
-                wakeRank(r, now);
-            }
-        }
-
-        if (best) {
-            if (sharedCmdBus_ && !sharedCmdBus_->tryReserve(now))
-                return false; // aborts the remaining passes, as linear
-            const bool ok = tryColumn(*best, now, /*commit=*/true);
-            sim_assert(ok, "column commit failed after successful check");
-            auto &queue = is_write_queue ? writeQ_ : readQ_;
-            sim_assert(queue[best->qpos].get() == best,
-                       name_, ": qpos out of sync");
-            retireIssued(queue, best->qpos, is_write_queue);
-            return true;
-        }
-
-        // ---- pass 2: preparation commands, oldest first ----
-        //
-        // Only the oldest arrived class-cls request per bank may steer
-        // it (the linear scan's visited_banks mask); banks are visited
-        // in that request's arrival order so shared-bus arbitration
-        // attempts (and their conflict counts) replay exactly.  A bank
-        // whose prep horizon has not matured is provably rejected by
-        // tryPrep before any arbitration, so it can be skipped.
-        if (compound)
-            continue; // compound devices need no preparation
-        prepCands_.clear();
-        for (unsigned r = 0; r < nranks; ++r) {
-            Rank &rank = ranks_[r];
-            // Ranks woken this cycle (or still settling) fail
-            // rankAvailable; powered-down ranks were woken by pass 1
-            // before it gave up, so neither can steer preparation.
-            if (rank.poweredDown() || !rankAvailable(rank, now))
-                continue;
-            for (unsigned b = 0; b < params_.banksPerRank; ++b) {
-                const std::size_t slot =
-                    static_cast<std::size_t>(r) * params_.banksPerRank +
-                    b;
-                const BankHorizon &h = horizon_[slot];
-                if (h.prep == kTickNever || h.prep > now)
-                    continue;
-                const BankQueues &bq = bankQ_[slot];
-                MemRequest *steer =
-                    head(is_write_queue ? bq.write : bq.read, cls);
-                if (steer)
-                    prepCands_.push_back(steer);
-            }
-        }
-        std::sort(prepCands_.begin(), prepCands_.end(),
-                  [](const MemRequest *a, const MemRequest *b) {
-                      return a->seq < b->seq;
-                  });
-        for (MemRequest *steer : prepCands_) {
-            if (tryPrep(*steer, now))
-                return true;
-        }
-    }
-    return false;
+    // The scan order is the queue order, so the erase keeps it.
+    queue.erase(queue.begin() + static_cast<std::ptrdiff_t>(idx));
 }
 
 bool
@@ -347,7 +163,6 @@ Channel::tryColumn(MemRequest &req, Tick now, bool commit)
             return true;
         bank.compoundAccess(now, params_, !is_read);
         rank.recordActivate(now); // moves rank tRRD/tFAW state
-        markRankDirty(req.coord.rank);
         stats_.rowMisses.inc(); // close page: every access opens a row
         finishColumnIssue(req, now, data_start);
         recordAudit(is_read ? DramCmd::CompoundRead : DramCmd::CompoundWrite,
@@ -411,7 +226,6 @@ Channel::tryPrep(MemRequest &req, Tick now)
             return false;
         bank.precharge(now, params_);
         rank.lastCommand = now;
-        markBankDirty(bankSlot(req.coord));
         if (req.prepIssue == kTickNever)
             req.prepIssue = now;
         recordAudit(DramCmd::Precharge, now, req.coord, 0, 0);
@@ -428,7 +242,6 @@ Channel::tryPrep(MemRequest &req, Tick now)
         return false;
     bank.activate(now, static_cast<std::int64_t>(req.coord.row), params_);
     rank.recordActivate(now);
-    markRankDirty(req.coord.rank);
     req.neededActivate = true;
     if (req.prepIssue == kTickNever)
         req.prepIssue = now;

@@ -4,14 +4,10 @@
  *
  *  - the per-request phase ledger (queue/prep/cas/bus) partitions
  *    [enqueue, complete] exactly for every completed read, including
- *    write-forwarded and compound (RLDRAM) accesses, under both
- *    scheduler implementations;
+ *    write-forwarded and compound (RLDRAM) accesses;
  *  - the per-core CPI stacks tile the measurement window exactly —
- *    every cycle lands in exactly one bucket — under either scheduler
- *    and with the main loop plain or self-profiled, and the stacks are
- *    bit-identical across all four;
- *  - HETSIM_ATTRIB=0 stops histogram/CPI accumulation but leaves the
- *    ledger stamps (and therefore the checker invariant) intact;
+ *    every cycle lands in exactly one bucket — with the main loop plain
+ *    or self-profiled, and the stacks are bit-identical across both;
  *  - the Chrome trace-event export is a well-formed JSON array with
  *    complete-span ("ph":"X") phase events.
  */
@@ -19,13 +15,11 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <vector>
 
 #include "check/checker.hh"
-#include "common/attrib.hh"
 #include "common/rng.hh"
 #include "common/trace.hh"
 #include "dram/channel.hh"
@@ -45,11 +39,10 @@ namespace
  *  channel until it drains, asserting the ledger invariant on every
  *  completed read.  Returns the number of completed reads. */
 unsigned
-drainRawChannel(dram::SchedImpl impl)
+drainRawChannel()
 {
     const dram::DeviceParams dev = dram::DeviceParams::ddr3_1600();
     dram::Channel chan("attrib", dev, 2);
-    chan.setSchedulerImpl(impl);
 
     unsigned completed = 0;
     chan.setCallback([&completed](dram::MemRequest &req) {
@@ -112,12 +105,10 @@ TEST(PhaseLedger, PartitionsLatencyOnRawChannelBothSchedulers)
 {
     auto &checker = Checker::instance();
     checker.enable(Mode::Collect);
-    const unsigned indexed = drainRawChannel(dram::SchedImpl::Indexed);
-    const unsigned linear = drainRawChannel(dram::SchedImpl::Linear);
+    const unsigned completed = drainRawChannel();
     EXPECT_TRUE(checker.violations().empty()) << checker.report();
     checker.disable();
-    EXPECT_GT(indexed, 100u);
-    EXPECT_EQ(indexed, linear);
+    EXPECT_GT(completed, 100u);
 }
 
 TEST(PhaseLedger, WriteForwardedReadDegeneratesToBusPhase)
@@ -164,42 +155,6 @@ TEST(PhaseLedger, WriteForwardedReadDegeneratesToBusPhase)
     EXPECT_TRUE(saw_forward);
 }
 
-TEST(PhaseLedger, AttribGateStopsSamplingButKeepsStamps)
-{
-    attrib::setEnabled(false);
-    const dram::DeviceParams dev = dram::DeviceParams::ddr3_1600();
-    dram::Channel chan("attrib_off", dev, 2);
-
-    unsigned completed = 0;
-    chan.setCallback([&completed](dram::MemRequest &req) {
-        completed += 1;
-        // Stamps (and thus the ledger identity) survive the gate.
-        EXPECT_EQ(req.queuePhase() + req.prepPhase() + req.casPhase() +
-                      req.busPhase(),
-                  req.totalLatency());
-    });
-    for (unsigned i = 0; i < 8; ++i) {
-        dram::MemRequest req;
-        req.id = i;
-        req.cookie = i;
-        req.lineAddr = i * 64ULL;
-        req.type = AccessType::Read;
-        req.coord =
-            dram::DramCoord{0, static_cast<std::uint8_t>(i % 2),
-                            static_cast<std::uint8_t>(i % 4), i, 0};
-        chan.enqueue(req, 0);
-    }
-    Tick t = 0;
-    while (!chan.idle() && t < 1'000'000) {
-        chan.tick(t);
-        t += dev.clockDivider;
-    }
-    attrib::setEnabled(true);
-    EXPECT_GT(completed, 0u);
-    EXPECT_EQ(chan.stats().phaseQueueHist.total(), 0u);
-    EXPECT_EQ(chan.stats().phaseBusHist.total(), 0u);
-}
-
 TEST(PhaseLedger, CheckerFlagsCorruptLedger)
 {
     auto &checker = Checker::instance();
@@ -236,9 +191,8 @@ struct CpiRun
 };
 
 CpiRun
-runCpiSystem(const char *sched, bool profiled)
+runCpiSystem(bool profiled)
 {
-    setenv("HETSIM_SCHED", sched, 1);
     SystemParams p;
     p.mem = MemConfig::CwfRL;
     p.seed = 0xbeefULL;
@@ -250,7 +204,6 @@ runCpiSystem(const char *sched, bool profiled)
     System system(p, profile, p.cores);
     system.setProfiling(profiled);
     const RunResult r = runSimulation(system, rc);
-    unsetenv("HETSIM_SCHED");
     EXPECT_GT(r.demandReads, 0u);
 
     CpiRun out;
@@ -271,13 +224,11 @@ TEST(CpiStack, BucketsTileTheWindowAcrossEnginesModesAndSchedulers)
     auto &checker = Checker::instance();
     checker.enable(Mode::Collect);
 
-    // Main-loop mode (plain or self-profiled tick) x scheduler: the CPI
-    // attribution (like the reports) must not see either.
+    // Main-loop mode (plain or self-profiled tick): the CPI attribution
+    // (like the reports) must not see it.
     std::vector<CpiRun> runs;
-    for (const bool profiled : {false, true}) {
-        for (const char *sched : {"indexed", "linear"})
-            runs.push_back(runCpiSystem(sched, profiled));
-    }
+    for (const bool profiled : {false, true})
+        runs.push_back(runCpiSystem(profiled));
     EXPECT_TRUE(checker.violations().empty()) << checker.report();
     checker.disable();
 
@@ -294,11 +245,11 @@ TEST(CpiStack, BucketsTileTheWindowAcrossEnginesModesAndSchedulers)
                       0u);
         }
     }
-    // The attribution must be bit-identical across loop modes and
-    // scheduler implementations (same contract as the reports).
+    // The attribution must be bit-identical across loop modes (same
+    // contract as the reports).
     for (std::size_t i = 1; i < runs.size(); ++i) {
         EXPECT_EQ(runs[i].windowTicks, runs[0].windowTicks);
-        EXPECT_EQ(runs[i].stacks, runs[0].stacks) << "combo " << i;
+        EXPECT_EQ(runs[i].stacks, runs[0].stacks) << "run " << i;
     }
     // mcf on CwfRL is memory bound: the stacks must attribute waits.
     std::uint64_t mem_wait = 0;

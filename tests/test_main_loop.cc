@@ -24,7 +24,6 @@
 #include <tuple>
 
 #include "check/checker.hh"
-#include "common/attrib.hh"
 #include "dram/channel.hh"
 #include "sim/report.hh"
 #include "sim/simulator.hh"
@@ -105,16 +104,14 @@ TEST_P(WakeContract, NoComponentSleepsPastItsOwnNextEventTick)
         EXPECT_EQ(system.selfProfile().ticks,
                   static_cast<std::uint64_t>(system.now()));
         // ... and every core accounted each of those ticks exactly once.
-        if (attrib::enabled()) {
-            for (unsigned c = 0; c < system.activeCores(); ++c) {
-                std::uint64_t cycles = 0;
-                for (unsigned b = 0; b < cpu::Core::kCpiBuckets; ++b)
-                    cycles += system.core(c).cpiCycles(
-                        static_cast<cpu::Core::CpiBucket>(b));
-                EXPECT_EQ(cycles, static_cast<std::uint64_t>(
-                                      system.now() - system.windowStart()))
-                    << "core " << c;
-            }
+        for (unsigned c = 0; c < system.activeCores(); ++c) {
+            std::uint64_t cycles = 0;
+            for (unsigned b = 0; b < cpu::Core::kCpiBuckets; ++b)
+                cycles += system.core(c).cpiCycles(
+                    static_cast<cpu::Core::CpiBucket>(b));
+            EXPECT_EQ(cycles, static_cast<std::uint64_t>(
+                                  system.now() - system.windowStart()))
+                << "core " << c;
         }
     }
     EXPECT_TRUE(checker.violations().empty()) << checker.report();

@@ -1,12 +1,16 @@
 /**
  * @file
- * Differential property test for the indexed FR-FCFS scheduler: for
- * random bursty traffic on every device family, the indexed
- * implementation (per-bank FIFOs + cached legality horizons) must
- * produce the *same command stream at the same ticks* — identical audit
- * events, completions, scheduler statistics and shared-bus arbitration
- * counts — as the linear reference scan (`HETSIM_SCHED=linear`), with
- * the protocol validator armed throughout.
+ * Command-stream pin for the FR-FCFS scheduler: random bursty traffic on
+ * every device family must reproduce a recorded digest of everything
+ * observable — audit events, completions, scheduler statistics,
+ * shared-bus grants and conflicts, refused injections and the drain
+ * tick — with the protocol validator armed throughout.
+ *
+ * The digests were recorded when the simulator still carried two
+ * scheduler implementations (the linear scan kept here and an indexed
+ * one with per-bank FIFOs and cached legality horizons), on plans where
+ * both produced the same stream command for command.  Any change to
+ * which command issues when moves a digest.
  */
 
 #include <gtest/gtest.h>
@@ -16,6 +20,7 @@
 #include <sstream>
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "check/checker.hh"
@@ -31,13 +36,12 @@ using dram::DeviceKind;
 using dram::DeviceParams;
 using dram::DramCoord;
 using dram::MemRequest;
-using dram::SchedImpl;
 using dram::SchedulerPolicy;
 
 namespace
 {
 
-/** One planned enqueue: same plan drives both implementations. */
+/** One planned enqueue. */
 struct Injection
 {
     Tick at = 0;          ///< tick the enqueue call is made
@@ -46,7 +50,7 @@ struct Injection
     MemRequest req;
 };
 
-/** Everything observable about one run, for exact comparison. */
+/** Everything observable about one run. */
 struct RunOutcome
 {
     std::vector<std::string> events; ///< audit + completions, formatted
@@ -102,8 +106,8 @@ makePlan(const DeviceParams &dev, unsigned ranks, unsigned nchan,
 }
 
 RunOutcome
-runPlan(SchedImpl impl, const DeviceParams &dev, unsigned ranks,
-        bool shared_bus, const std::vector<Injection> &plan)
+runPlan(const DeviceParams &dev, unsigned ranks, bool shared_bus,
+        const std::vector<Injection> &plan)
 {
     RunOutcome out;
     const unsigned nchan = shared_bus ? 2 : 1;
@@ -115,7 +119,6 @@ runPlan(SchedImpl impl, const DeviceParams &dev, unsigned ranks,
         chans.push_back(std::make_unique<Channel>(
             "diff" + std::to_string(c), dev, ranks, SchedulerPolicy{},
             arbiter.get()));
-        chans.back()->setSchedulerImpl(impl);
         chans.back()->enableAudit(true);
         chans.back()->setCallback([&out, c](MemRequest &req) {
             std::ostringstream os;
@@ -154,7 +157,7 @@ runPlan(SchedImpl impl, const DeviceParams &dev, unsigned ranks,
             c->tick(t);
         t += 1;
     }
-    EXPECT_LT(t, horizon) << "differential run failed to drain";
+    EXPECT_LT(t, horizon) << "run failed to drain";
     out.endTick = t;
 
     for (unsigned c = 0; c < nchan; ++c) {
@@ -189,12 +192,52 @@ runPlan(SchedImpl impl, const DeviceParams &dev, unsigned ranks,
     return out;
 }
 
+/** FNV-1a over the formatted outcome: events in order, then the
+ *  statistics and bus/drop/end-tick counters. */
+std::uint64_t
+digestOf(const RunOutcome &out)
+{
+    std::ostringstream os;
+    for (const auto &ev : out.events)
+        os << ev << '\n';
+    os << out.stats << "bus grants=" << out.busGrants
+       << " conflicts=" << out.busConflicts << " dropped=" << out.dropped
+       << " end=" << out.endTick << '\n';
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+    for (const char c : os.str()) {
+        h ^= static_cast<unsigned char>(c);
+        h *= 0x100000001b3ULL;
+    }
+    return h;
+}
+
+/** Recorded digest of each sweep plan, keyed by its (unique) seed. */
+std::uint64_t
+recordedDigest(std::uint64_t seed)
+{
+    static const std::pair<std::uint64_t, std::uint64_t> kRecorded[] = {
+        {0xd1f7ULL, 0xb176f318ba7943baULL},
+        {99ULL, 0x7a537106cb03046fULL},
+        {0xab5ULL, 0x73df4cac0cf10c4dULL},
+        {7ULL, 0x5313d4d3bb5d950cULL},
+        {0xc0deULL, 0xa955fafecc73d1b2ULL},
+        {23ULL, 0x406522be1f611218ULL},
+    };
+    for (const auto &[plan_seed, digest] : kRecorded) {
+        if (plan_seed == seed)
+            return digest;
+    }
+    ADD_FAILURE() << "no recorded digest for plan seed " << seed;
+    return 0;
+}
+
 class SchedDifferential
     : public ::testing::TestWithParam<
           std::tuple<DeviceKind, unsigned, bool, std::uint64_t>>
 {
 };
 
+// The name records the comparison the pinned digests came from.
 TEST_P(SchedDifferential, IndexedMatchesLinearCommandForCommand)
 {
     const auto [kind, ranks, shared_bus, seed] = GetParam();
@@ -204,28 +247,16 @@ TEST_P(SchedDifferential, IndexedMatchesLinearCommandForCommand)
 
     auto &checker = Checker::instance();
     checker.enable(Mode::Collect);
-    const RunOutcome linear =
-        runPlan(SchedImpl::Linear, dev, ranks, shared_bus, plan);
-    EXPECT_TRUE(checker.violations().empty()) << checker.report();
-    const RunOutcome indexed =
-        runPlan(SchedImpl::Indexed, dev, ranks, shared_bus, plan);
+    const RunOutcome out = runPlan(dev, ranks, shared_bus, plan);
     checker.finalizeAll();
     EXPECT_TRUE(checker.violations().empty()) << checker.report();
     checker.disable();
 
     // Meaningful run: commands actually issued and some were audited.
-    EXPECT_GT(linear.events.size(), 1000u);
-
-    ASSERT_EQ(linear.events.size(), indexed.events.size());
-    for (std::size_t i = 0; i < linear.events.size(); ++i) {
-        ASSERT_EQ(linear.events[i], indexed.events[i])
-            << "first divergence at event " << i;
-    }
-    EXPECT_EQ(linear.stats, indexed.stats);
-    EXPECT_EQ(linear.busConflicts, indexed.busConflicts);
-    EXPECT_EQ(linear.busGrants, indexed.busGrants);
-    EXPECT_EQ(linear.dropped, indexed.dropped);
-    EXPECT_EQ(linear.endTick, indexed.endTick);
+    EXPECT_GT(out.events.size(), 1000u);
+    EXPECT_EQ(digestOf(out), recordedDigest(seed))
+        << "command stream moved; " << out.events.size() << " events\n"
+        << out.stats;
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -250,17 +281,5 @@ INSTANTIATE_TEST_SUITE_P(
         }
         return name;
     });
-
-TEST(SchedIndex, EnvSelectorParsesLinear)
-{
-    // Channels honour HETSIM_SCHED at construction; the explicit setter
-    // is only legal while the queues are empty.
-    const DeviceParams dev = DeviceParams::ddr3_1600();
-    Channel chan("envsel", dev, 1);
-    chan.setSchedulerImpl(SchedImpl::Linear);
-    EXPECT_EQ(chan.schedulerImpl(), SchedImpl::Linear);
-    chan.setSchedulerImpl(SchedImpl::Indexed);
-    EXPECT_EQ(chan.schedulerImpl(), SchedImpl::Indexed);
-}
 
 } // namespace
