@@ -1,13 +1,15 @@
 /**
  * @file
  * Channel controller functional tests: end-to-end read/write timing for
- * each device type, row-hit vs row-conflict service, write-to-read
- * turnaround, write-drain watermarks, write-queue forwarding, refresh,
- * power-down and queue admission.
+ * each device type, row-hit vs row-conflict service, FR-FCFS ordering
+ * (row hits first, the oldest request per bank steers preparation),
+ * write-to-read turnaround, write-drain watermarks, write-queue
+ * forwarding, refresh, power-down and queue admission.
  */
 
 #include <gtest/gtest.h>
 
+#include <utility>
 #include <vector>
 
 #include "dram/channel.hh"
@@ -104,6 +106,78 @@ TEST_F(Ddr3Channel, RowConflictPaysPrechargeActivate)
     EXPECT_GE(service,
               p.ticks(p.tRP + p.tRCD + p.tRL + p.tBurst));
     EXPECT_EQ(chan.stats().rowMisses.value(), 2u);
+}
+
+TEST_F(Ddr3Channel, RowHitIssuesBeforeOlderRowConflict)
+{
+    chan.enqueue(makeReq(0, AccessType::Read, {0, 0, 0, 5, 0}, 1), 0);
+    Tick t = 0;
+    while (completed.empty())
+        chan.tick(t++);
+    completed.clear();
+    // Row 5 is still open: the older request conflicts with it, the
+    // younger one hits it.  First-ready issues the hit's column first.
+    chan.enqueue(makeReq(1 << 20, AccessType::Read, {0, 0, 0, 9, 0}, 2), t);
+    chan.enqueue(makeReq(64, AccessType::Read, {0, 0, 0, 5, 1}, 3), t);
+    run(chan, t, t + 4000);
+    ASSERT_EQ(completed.size(), 2u);
+    EXPECT_EQ(completed[0].cookie, 3u) << "row hit completes first";
+    EXPECT_EQ(completed[1].cookie, 2u);
+    EXPECT_EQ(chan.stats().rowHits.value(), 1u);
+    EXPECT_EQ(chan.stats().rowMisses.value(), 2u);
+}
+
+TEST_F(Ddr3Channel, OldestRequestPerBankSteersPreparation)
+{
+    // Open row 3 in bank 1, then queue a train of row hits to it ahead of
+    // two requests to bank 0 for different rows.  The train keeps the
+    // data bus busy past tRAS after bank 0's ACTIVATE, so in the idle
+    // cycles between hits only the oldest bank-0 request may steer the
+    // bank: the younger one must not precharge the row the older one
+    // opened and is still waiting to read.
+    chan.enableAudit(true);
+    chan.enqueue(makeReq(0, AccessType::Read, {0, 0, 1, 3, 0}, 100), 0);
+    Tick t = 0;
+    while (completed.empty())
+        chan.tick(t++);
+    completed.clear();
+    chan.clearAudit();
+
+    const unsigned hits = 12;
+    for (unsigned i = 0; i < hits; ++i) {
+        chan.enqueue(makeReq(64 * (i + 1), AccessType::Read,
+                             {0, 0, 1, 3, i + 1}, i),
+                     t);
+    }
+    chan.enqueue(makeReq(1 << 20, AccessType::Read, {0, 0, 0, 9, 0}, 50), t);
+    chan.enqueue(makeReq(2 << 20, AccessType::Read, {0, 0, 0, 7, 0}, 51), t);
+    run(chan, t, t + 10000);
+    ASSERT_EQ(completed.size(), hits + 2);
+    const auto &p = chan.params();
+
+    std::vector<std::pair<DramCmd, std::uint32_t>> bank0;
+    Tick act9 = 0, read9 = 0;
+    for (const auto &ev : chan.audit()) {
+        if (ev.bank != 0 || ev.cmd == DramCmd::Refresh)
+            continue;
+        bank0.emplace_back(ev.cmd, ev.row);
+        if (ev.cmd == DramCmd::Activate && ev.row == 9)
+            act9 = ev.at;
+        if (ev.cmd == DramCmd::Read && ev.row == 9)
+            read9 = ev.at;
+    }
+    // The scenario is only meaningful if row 9's read waited past tRAS.
+    EXPECT_GT(read9, act9 + p.ticks(p.tRAS));
+    // A precharge is logged with the coordinates of the request that
+    // steered it, so row 7's request closes row 9 only after its read.
+    const std::vector<std::pair<DramCmd, std::uint32_t>> expect = {
+        {DramCmd::Activate, 9}, {DramCmd::Read, 9},
+        {DramCmd::Precharge, 7}, {DramCmd::Activate, 7},
+        {DramCmd::Read, 7}};
+    EXPECT_EQ(bank0, expect);
+    EXPECT_EQ(completed[hits].cookie, 50u);
+    EXPECT_EQ(completed[hits + 1].cookie, 51u);
+    EXPECT_EQ(chan.stats().rowHits.value(), hits);
 }
 
 TEST_F(Ddr3Channel, LatencySplitSeparatesQueueFromService)
