@@ -48,6 +48,21 @@ struct ExperimentScale
 };
 
 /**
+ * Profile a workload on the DDR3 baseline for one @p rc window and
+ * return the hot-page set for MemConfig::PagePlacement.  Two
+ * constraints apply, as in Section 7.1: the 0.5 GB RLDRAM3 capacity
+ * (131072 4 KB pages) and the paper's placement rule of the top 7.6 %
+ * of accessed pages (0.5 GB / 6.5 GB footprint); the binding one wins.
+ * With this study's scaled-down footprints the fraction usually binds —
+ * placing *everything* fast would just bottleneck the single RLDRAM
+ * channel.
+ */
+std::unordered_set<std::uint64_t>
+profileHotPages(const std::string &bench, const RunConfig &rc,
+                double hot_fraction = 0.076,
+                std::size_t capacity_pages = (512ULL << 20) >> kPageShift);
+
+/**
  * Filesystem-safe name for a memoisation key: illegal bytes become '_'
  * and a short hash of the *raw* key is appended, so keys that differ
  * only in flattened punctuation still map to distinct filenames.
@@ -144,16 +159,7 @@ class ExperimentRunner
                                 const SystemParams &baseline,
                                 const std::string &bench);
 
-    /**
-     * Profile a workload on the DDR3 baseline and return the hot-page
-     * set for PagePlacementMemory.  Two constraints apply, as in
-     * Section 7.1: the 0.5 GB RLDRAM3 capacity (131072 4 KB pages) and
-     * the paper's placement rule of the top 7.6 % of accessed pages
-     * (0.5 GB / 6.5 GB footprint); the binding one wins.  With this
-     * study's scaled-down footprints the fraction usually binds —
-     * placing *everything* fast would just bottleneck the single
-     * RLDRAM channel.
-     */
+    /** profileHotPages (below) at this runner's read quantum. */
     std::unordered_set<std::uint64_t>
     profileHotPages(const std::string &bench,
                     double hot_fraction = 0.076,

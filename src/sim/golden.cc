@@ -5,6 +5,7 @@
 
 #include "common/json.hh"
 #include "dram/dram_params.hh"
+#include "sim/experiments.hh"
 #include "sim/report.hh"
 #include "workloads/suite.hh"
 
@@ -58,6 +59,12 @@ goldenMatrixSpecs()
         spec(MemConfig::CwfRL, "matrix_lbm_rl", "lbm"),
         capped(MemConfig::BaselineDDR3, "matrix_ep_ddr3"),
         capped(MemConfig::CwfRL, "matrix_ep_rl"),
+        spec(MemConfig::HomoLPDDR2, "matrix_libquantum_lpddr2",
+             "libquantum"),
+        spec(MemConfig::HomoRLDRAM3, "matrix_libquantum_rldram3",
+             "libquantum"),
+        spec(MemConfig::PagePlacement, "matrix_libquantum_pp",
+             "libquantum"),
     };
     return specs;
 }
@@ -165,14 +172,24 @@ renderGoldenDigest(System &system, const RunResult &result,
     return w.str() + "\n";
 }
 
-GoldenOutcome
-runGolden(const GoldenSpec &spec)
+SystemParams
+goldenParams(const GoldenSpec &spec)
 {
     SystemParams params;
     params.mem = spec.config;
     params.seed = kGoldenSeed;
-    System system(params, workloads::suite::byName(spec.benchmark),
-                  kGoldenCores);
+    // The hot pages come from a DDR3 profile of the spec's own window,
+    // so the placement, too, is independent of any env knob.
+    if (spec.config == MemConfig::PagePlacement)
+        params.hotPages = profileHotPages(spec.benchmark, spec.run);
+    return params;
+}
+
+GoldenOutcome
+runGolden(const GoldenSpec &spec)
+{
+    System system(goldenParams(spec),
+                  workloads::suite::byName(spec.benchmark), kGoldenCores);
     GoldenOutcome out;
     out.result = runSimulation(system, spec.run);
     out.digest = renderGoldenDigest(system, out.result, spec.run);

@@ -50,7 +50,9 @@ const std::vector<GoldenSpec> &goldenSpecs();
  * Workload matrix at a tier-1-cheap quantum: streaming (libquantum,
  * leslie3d), pointer chase (omnetpp), write-heavy (lbm) and a
  * low-intensity run that ends at a small tick cap (ep), each under DDR3
- * and RL.  Widens the net beyond mcf for changes claimed bit-identical.
+ * and RL, plus libquantum on all-LPDDR2, all-RLDRAM3 and the Section 7.1
+ * page placement.  Widens the net beyond mcf for changes claimed
+ * bit-identical.
  */
 const std::vector<GoldenSpec> &goldenMatrixSpecs();
 
@@ -60,6 +62,11 @@ struct GoldenOutcome
     std::string fullReport; ///< full renderReportJson (bit-stability check)
     RunResult result;
 };
+
+/** The system parameters of one golden run: the spec's configuration,
+ *  the pinned seed and, for MemConfig::PagePlacement, the hot pages of
+ *  a DDR3 profiling run over the spec's own window. */
+SystemParams goldenParams(const GoldenSpec &spec);
 
 /** Build + run one golden configuration from a cold system. */
 GoldenOutcome runGolden(const GoldenSpec &spec);

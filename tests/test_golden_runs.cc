@@ -172,11 +172,8 @@ TEST_P(GoldenRun, BatchedAndPerTickCoresAreBitIdentical)
     // warmup is stepped here one System::tick() at a time (and measured
     // by runSimulation from that state) is byte-identical to runGolden.
     const GoldenSpec &spec = current();
-    SystemParams params;
-    params.mem = spec.config;
-    params.seed = kGoldenSeed;
-    System system(params, workloads::suite::byName(spec.benchmark),
-                  kGoldenCores);
+    System system(goldenParams(spec),
+                  workloads::suite::byName(spec.benchmark), kGoldenCores);
     const auto &stats = system.hierarchy().stats();
     while (stats.demandCompletions.value() < spec.run.warmupReads &&
            system.now() < spec.run.maxWarmupTicks)
