@@ -100,7 +100,7 @@ main(int argc, char **argv)
     params.cores =
         static_cast<unsigned>(cfg.getUint("cores", params.cores));
     params.prefetcherEnabled = cfg.getBool("prefetch", true);
-    params.parityErrorRate = cfg.getDouble("parity.rate", 0.0);
+    params.fault.fastExtraTransient = cfg.getDouble("parity.rate", 0.0);
     params.seed = cfg.getUint("seed", params.seed);
 
     if (cfg.has("trace"))

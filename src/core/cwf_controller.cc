@@ -22,15 +22,12 @@ namespace hetsim::cwf
 namespace
 {
 
-/** Effective fault knobs: the legacy `parityErrorRate` Bernoulli knob
- *  folds into the unified model as extra transient rate on the fast
- *  critical-word path, and an unset fault seed derives from the
- *  backend seed so same-seed runs hit the same fault sites. */
+/** Effective fault knobs: an unset fault seed derives from the backend
+ *  seed so same-seed runs hit the same fault sites. */
 fault::FaultParams
 cwfFaultParams(const CwfHeteroMemory::Params &params)
 {
     fault::FaultParams p = params.fault;
-    p.fastExtraTransient += params.parityErrorRate;
     if (p.seed == 0)
         p.seed = params.seed;
     return p;

@@ -93,8 +93,8 @@ struct FaultParams
     double stuckCellRate = 0.0;  ///< per word-site persistent density
     double rowFaultRate = 0.0;   ///< per DRAM-row persistent density
     double busErrorRate = 0.0;   ///< per-transfer single-bit probability
-    /** Legacy `parityErrorRate` compatibility alias: extra transient
-     *  rate applied to the fast critical-word path only. */
+    /** Extra transient rate on the fast critical-word path only: the
+     *  chance that a critical word fails its byte-parity check. */
     double fastExtraTransient = 0.0;
 
     // Spatial scoping: which read paths faults are injected on.

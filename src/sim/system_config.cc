@@ -70,8 +70,7 @@ SystemParams::cacheKey() const
 {
     std::ostringstream os;
     os << toString(mem) << "/c" << cores << "/pf" << prefetcherEnabled
-       << "/pe" << parityErrorRate << "/s" << seed << "/hp"
-       << hotPages.size();
+       << "/s" << seed << "/hp" << hotPages.size();
     // Appended only when some knob is set (programmatically or via
     // HETSIM_FAULT_*), so keys of fault-free runs — every pre-existing
     // cache entry — are untouched.
@@ -95,15 +94,22 @@ faultFor(const SystemParams &params)
     return f;
 }
 
-std::unique_ptr<cwf::MemoryBackend>
-buildHomogeneous(dram::DeviceParams device, const SystemParams &params)
+cwf::HomogeneousMemory::Params
+homogeneousParams(dram::DeviceParams device, const SystemParams &params)
 {
     cwf::HomogeneousMemory::Params p;
     p.device = std::move(device);
     p.channels = 4;
     p.ranksPerChannel = 1;
     p.fault = faultFor(params);
-    return std::make_unique<cwf::HomogeneousMemory>(p);
+    return p;
+}
+
+std::unique_ptr<cwf::MemoryBackend>
+buildHomogeneous(dram::DeviceParams device, const SystemParams &params)
+{
+    return std::make_unique<cwf::HomogeneousMemory>(
+        homogeneousParams(std::move(device), params));
 }
 
 std::unique_ptr<cwf::LineLayout>
@@ -126,7 +132,6 @@ buildCwf(const SystemParams &params)
 {
     cwf::CwfHeteroMemory::Params p;
     p.configName = toString(params.mem);
-    p.parityErrorRate = params.parityErrorRate;
     p.seed = params.seed;
     p.fault = faultFor(params);
 
@@ -191,13 +196,13 @@ buildBackend(const SystemParams &params)
       case MemConfig::CwfRLMalladi:
         return buildCwf(params);
       case MemConfig::PagePlacement: {
-        cwf::PagePlacementMemory::Params p;
-        p.slowDevice = dram::DeviceParams::lpddr2_800();
-        p.fastDevice = dram::DeviceParams::rldram3();
-        p.slowChannels = 3;
-        p.fault = faultFor(params);
-        return std::make_unique<cwf::PagePlacementMemory>(
-            p, params.hotPages);
+        // Three LPDDR2 channels plus one RLDRAM3 channel for the hot
+        // pages: iso-pin and iso-chip-count with the RL system.
+        cwf::HomogeneousMemory::Params p =
+            homogeneousParams(dram::DeviceParams::lpddr2_800(), params);
+        p.channels = 3;
+        p.hotDevice = dram::DeviceParams::rldram3();
+        return std::make_unique<cwf::HomogeneousMemory>(p, params.hotPages);
       }
       case MemConfig::HmcBaseline:
       case MemConfig::HmcCdf: {

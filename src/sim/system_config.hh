@@ -50,9 +50,6 @@ struct SystemParams
     MemConfig mem = MemConfig::BaselineDDR3;
     unsigned cores = 8;
     bool prefetcherEnabled = true;
-    /** Legacy knob: extra fast-channel transient rate (see
-     *  CwfHeteroMemory::Params::parityErrorRate). */
-    double parityErrorRate = 0.0;
     /** Unified fault-injection knobs; HETSIM_FAULT_* environment
      *  overrides are overlaid in buildBackend. */
     fault::FaultParams fault;

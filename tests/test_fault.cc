@@ -239,7 +239,7 @@ TEST(FaultModel, ChipkillCorrectsRowAndSingleDetectsDouble)
 TEST(FaultModel, LegacyAliasHitsOnlyTheFastPathAndNeverDegrades)
 {
     fault::FaultParams p;
-    p.fastExtraTransient = 1.0; // the old parityErrorRate knob
+    p.fastExtraTransient = 1.0; // every critical word fails parity
     p.degradeThreshold = 1;
     p.seed = 3;
     fault::FaultModel model(p);
@@ -303,6 +303,18 @@ TEST(FaultParams, CacheKeyChangesOnlyForNonDefaultKnobs)
     const std::string dirty = faulted.cacheKey();
     EXPECT_NE(dirty.find("/fl"), std::string::npos);
     EXPECT_NE(clean, dirty);
+}
+
+TEST(FaultParams, CacheKeyDistinguishesFastExtraTransient)
+{
+    // Memoised runs at two critical-word parity-fail rates must not
+    // share a cache entry.
+    SystemParams low;
+    low.mem = MemConfig::CwfRL;
+    low.fault.fastExtraTransient = 0.01;
+    SystemParams high = low;
+    high.fault.fastExtraTransient = 0.25;
+    EXPECT_NE(low.cacheKey(), high.cacheKey());
 }
 
 // ------------------------------------------- backend ladder property
