@@ -1,0 +1,45 @@
+#include "common/env.hh"
+
+#include <cctype>
+#include <cerrno>
+#include <cstdlib>
+
+#include "common/log.hh"
+
+namespace hetsim
+{
+
+double
+envRate(const char *name, double fallback)
+{
+    const char *v = std::getenv(name);
+    if (!v || !*v)
+        return fallback;
+    char *end = nullptr;
+    const double parsed = std::strtod(v, &end);
+    if (end == v || *end || !(parsed >= 0.0 && parsed <= 1.0))
+        fatal(name, ": expected a rate in [0,1], got '", v, "'");
+    return parsed;
+}
+
+std::uint64_t
+envU64(const char *name, std::uint64_t fallback, std::uint64_t min)
+{
+    const char *v = std::getenv(name);
+    if (!v || !*v)
+        return fallback;
+    // strtoull alone would accept leading blanks and a minus sign.
+    char *end = nullptr;
+    errno = 0;
+    const unsigned long long parsed =
+        std::isdigit(static_cast<unsigned char>(*v))
+            ? std::strtoull(v, &end, 10)
+            : 0;
+    if (end == nullptr || *end || errno == ERANGE)
+        fatal(name, ": expected an unsigned integer, got '", v, "'");
+    if (parsed < min)
+        fatal(name, ": expected an integer >= ", min, ", got '", v, "'");
+    return parsed;
+}
+
+} // namespace hetsim

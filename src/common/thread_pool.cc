@@ -1,8 +1,8 @@
 #include "common/thread_pool.hh"
 
 #include <algorithm>
-#include <cstdlib>
 
+#include "common/env.hh"
 #include "common/log.hh"
 
 namespace hetsim
@@ -11,13 +11,9 @@ namespace hetsim
 unsigned
 ThreadPool::jobsFromEnv()
 {
-    if (const char *env = std::getenv("HETSIM_JOBS")) {
-        const unsigned v =
-            static_cast<unsigned>(std::strtoul(env, nullptr, 10));
-        if (v > 0)
-            return v;
-    }
-    return std::max(1u, std::thread::hardware_concurrency());
+    return static_cast<unsigned>(envU64(
+        "HETSIM_JOBS", std::max(1u, std::thread::hardware_concurrency()),
+        1));
 }
 
 ThreadPool::ThreadPool(unsigned jobs)

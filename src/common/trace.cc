@@ -3,6 +3,7 @@
 #include <cstdlib>
 
 #include "common/attrib.hh"
+#include "common/env.hh"
 #include "common/json.hh"
 #include "common/log.hh"
 
@@ -103,17 +104,17 @@ Tracer::configureFromEnvironment()
     if (v.empty() || v == "0" || v == "false" || v == "off")
         return;
 
-    if (const char *buf = std::getenv("HETSIM_TRACE_BUFFER")) {
-        const long n = std::atol(buf);
-        if (n > 0)
-            capacity_ = static_cast<std::size_t>(n);
-    }
+    capacity_ = envU64("HETSIM_TRACE_BUFFER", capacity_, 1);
     Format format = Format::Jsonl;
-    if (const char *fmt = std::getenv("HETSIM_TRACE_FORMAT")) {
-        if (std::string(fmt) == "csv")
+    if (const char *fmt = std::getenv("HETSIM_TRACE_FORMAT"); fmt && *fmt) {
+        const std::string f(fmt);
+        if (f == "csv")
             format = Format::Csv;
-        else if (std::string(fmt) == "chrome")
+        else if (f == "chrome")
             format = Format::Chrome;
+        else if (f != "jsonl")
+            fatal("HETSIM_TRACE_FORMAT: expected jsonl|csv|chrome, got '",
+                  fmt, "'");
     }
     const char *path = std::getenv("HETSIM_TRACE_FILE");
     enableFileSink(path ? path : "hetsim_trace.jsonl", format);

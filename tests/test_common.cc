@@ -1,7 +1,8 @@
 /**
  * @file
  * Unit tests for the common substrate: logging, statistics primitives,
- * configuration store, table rendering and the deterministic RNG.
+ * configuration store, environment knobs, table rendering and the
+ * deterministic RNG.
  */
 
 #include <gtest/gtest.h>
@@ -9,10 +10,12 @@
 #include <set>
 
 #include "common/config.hh"
+#include "common/env.hh"
 #include "common/log.hh"
 #include "common/rng.hh"
 #include "common/stats.hh"
 #include "common/table.hh"
+#include "common/thread_pool.hh"
 
 using namespace hetsim;
 
@@ -176,6 +179,70 @@ TEST(Config, EnvironmentImport)
     cfg.importEnvironment();
     EXPECT_EQ(cfg.getInt("test.key", 0), 99);
     unsetenv("HETSIM_TEST_KEY");
+}
+
+// ---------------------------------------------------------------- env
+
+TEST(Env, UnsetOrEmptyYieldsFallback)
+{
+    unsetenv("HETSIM_TEST_KNOB");
+    EXPECT_EQ(envU64("HETSIM_TEST_KNOB", 7, 1), 7u);
+    EXPECT_DOUBLE_EQ(envRate("HETSIM_TEST_KNOB", 0.5), 0.5);
+    setenv("HETSIM_TEST_KNOB", "", 1);
+    EXPECT_EQ(envU64("HETSIM_TEST_KNOB", 7, 1), 7u);
+    unsetenv("HETSIM_TEST_KNOB");
+}
+
+TEST(Env, ParsesWholeValues)
+{
+    setenv("HETSIM_TEST_KNOB", "4000", 1);
+    EXPECT_EQ(envU64("HETSIM_TEST_KNOB", 7, 1), 4000u);
+    setenv("HETSIM_TEST_KNOB", "0", 1);
+    EXPECT_EQ(envU64("HETSIM_TEST_KNOB", 7), 0u);
+    setenv("HETSIM_TEST_KNOB", "1e-3", 1);
+    EXPECT_DOUBLE_EQ(envRate("HETSIM_TEST_KNOB", 0.5), 1e-3);
+    unsetenv("HETSIM_TEST_KNOB");
+}
+
+TEST(EnvDeathTest, MalformedNumbersAreFatal)
+{
+    const auto u64 = [](const char *value) {
+        setenv("HETSIM_TEST_KNOB", value, 1);
+        envU64("HETSIM_TEST_KNOB", 7);
+    };
+    EXPECT_EXIT(u64("4k"), ::testing::ExitedWithCode(1),
+                "HETSIM_TEST_KNOB: expected an unsigned integer, got '4k'");
+    EXPECT_EXIT(u64("-1"), ::testing::ExitedWithCode(1),
+                "expected an unsigned integer, got '-1'");
+    EXPECT_EXIT(u64(" 8"), ::testing::ExitedWithCode(1),
+                "expected an unsigned integer, got ' 8'");
+    EXPECT_EXIT(u64("99999999999999999999"), ::testing::ExitedWithCode(1),
+                "expected an unsigned integer");
+    EXPECT_EXIT(
+        {
+            setenv("HETSIM_TEST_KNOB", "0.5x", 1);
+            envRate("HETSIM_TEST_KNOB", 0.0);
+        },
+        ::testing::ExitedWithCode(1),
+        "HETSIM_TEST_KNOB: expected a rate in \\[0,1\\], got '0.5x'");
+}
+
+TEST(EnvDeathTest, JobsMustBeAPositiveInteger)
+{
+    EXPECT_EXIT(
+        {
+            setenv("HETSIM_JOBS", "0", 1);
+            ThreadPool::jobsFromEnv();
+        },
+        ::testing::ExitedWithCode(1),
+        "HETSIM_JOBS: expected an integer >= 1, got '0'");
+    EXPECT_EXIT(
+        {
+            setenv("HETSIM_JOBS", "4cpus", 1);
+            ThreadPool::jobsFromEnv();
+        },
+        ::testing::ExitedWithCode(1),
+        "HETSIM_JOBS: expected an unsigned integer, got '4cpus'");
 }
 
 // -------------------------------------------------------------- table

@@ -166,6 +166,27 @@ TEST(JsonTest, ValidatorRejectsMalformedText)
 
 // ------------------------- Tracer ------------------------------------
 
+TEST(TracerDeathTest, UnknownFormatListsTheValidOnes)
+{
+    // An unknown sink format used to fall back to JSONL silently.
+    EXPECT_EXIT(
+        {
+            setenv("HETSIM_TRACE", "1", 1);
+            setenv("HETSIM_TRACE_FORMAT", "xml", 1);
+            trace::Tracer::instance().configureFromEnvironment();
+        },
+        ::testing::ExitedWithCode(1),
+        "HETSIM_TRACE_FORMAT: expected jsonl\\|csv\\|chrome, got 'xml'");
+    EXPECT_EXIT(
+        {
+            setenv("HETSIM_TRACE", "1", 1);
+            setenv("HETSIM_TRACE_BUFFER", "64k", 1);
+            trace::Tracer::instance().configureFromEnvironment();
+        },
+        ::testing::ExitedWithCode(1),
+        "HETSIM_TRACE_BUFFER: expected an unsigned integer, got '64k'");
+}
+
 TEST(TracerTest, InMemoryRingRecordsAndWraps)
 {
     auto &tracer = trace::Tracer::instance();
