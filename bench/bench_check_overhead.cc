@@ -4,8 +4,7 @@
  * (src/check): the disabled-validator cost — every hook degenerates to
  * one global-flag load+branch — must stay within a ~2% budget of the
  * loaded channel tick loop, and the enabled (Collect-mode) cost is
- * reported so CI runs budget their wall time.  Build with
- * -DHETSIM_DISABLE_CHECK=ON to measure the hooks compiled out entirely.
+ * reported so CI runs budget their wall time.
  */
 
 #include <benchmark/benchmark.h>
@@ -63,14 +62,9 @@ BENCHMARK(BM_ChannelTickCheckerOff)
 void
 BM_ChannelTickCheckerOn(benchmark::State &state)
 {
-#ifdef HETSIM_DISABLE_CHECK
-    state.SkipWithError("validator compiled out (HETSIM_DISABLE_CHECK)");
-    return;
-#else
     check::Checker::instance().enable(check::Mode::Collect);
     tickLoop(state, static_cast<dram::DeviceKind>(state.range(0)));
     check::Checker::instance().disable();
-#endif
 }
 BENCHMARK(BM_ChannelTickCheckerOn)
     ->Arg(0)

@@ -23,8 +23,7 @@
  *     eventually drained (leak detection via finalizeAll()).
  *
  * Cost model mirrors common/trace.hh: when checking is disabled (the
- * default) every hook is a single load+branch on a global flag; building
- * with -DHETSIM_DISABLE_CHECK compiles the hooks out entirely.  Enable
+ * default) every hook is a single load+branch on a global flag.  Enable
  * from the environment or programmatically:
  *
  *   HETSIM_CHECK=1           enable (abort mode: first violation panics
@@ -287,22 +286,16 @@ class Checker
 };
 
 // --------------------------------------------------------------------
-// Inline gated hooks: one load+branch when disabled, nothing at all
-// under -DHETSIM_DISABLE_CHECK.  Call these from model code.
+// Inline gated hooks: one load+branch when disabled.  Call these from
+// model code.
 // --------------------------------------------------------------------
 
-#ifdef HETSIM_DISABLE_CHECK
-#define HETSIM_CHECK_HOOK(call)                                             \
-    do {                                                                    \
-    } while (0)
-#else
 #define HETSIM_CHECK_HOOK(call)                                             \
     do {                                                                    \
         if (::hetsim::check::detail::g_checkEnabled) [[unlikely]] {         \
             ::hetsim::check::Checker::instance().call;                      \
         }                                                                   \
     } while (0)
-#endif
 
 inline void
 onDramCommand(const void *chan, const std::string &name,

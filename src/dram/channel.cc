@@ -183,7 +183,6 @@ Channel::completeReads(Tick now)
 void
 Channel::emitPhaseSpans(const MemRequest &req) const
 {
-#ifndef HETSIM_DISABLE_TRACE
     if (!trace::detail::g_traceEnabled) [[likely]]
         return;
     // One PhaseSpan record per non-empty ledger phase; tick = span
@@ -201,9 +200,6 @@ Channel::emitPhaseSpans(const MemRequest &req) const
     span(attrib::Phase::Prep, req.prepIssue, req.prepPhase());
     span(attrib::Phase::Cas, req.columnIssue, req.casPhase());
     span(attrib::Phase::Bus, req.dataStart, req.busPhase());
-#else
-    (void)req;
-#endif
 }
 
 void
@@ -302,7 +298,6 @@ Channel::wakeRank(unsigned rank, Tick now)
 void
 Channel::finishColumnIssue(MemRequest &req, Tick now, Tick data_start)
 {
-#ifndef HETSIM_DISABLE_TRACE
     // One gate check covers both lifecycle events on this hot path.
     if (trace::detail::g_traceEnabled) [[unlikely]] {
         if (req.firstIssue == kTickNever) {
@@ -315,7 +310,6 @@ Channel::finishColumnIssue(MemRequest &req, Tick now, Tick data_start)
                             req.lineAddr, req.coreId, req.coord.channel,
                             req.part, req.coord.bank);
     }
-#endif
 
     // Bank turnaround: spacing of successive column commands per bank.
     const std::size_t bank_slot =
