@@ -38,7 +38,7 @@ namespace
 
 class FuzzSystem
     : public ::testing::TestWithParam<
-          std::tuple<MemConfig, const char *, std::uint64_t>>
+          std::tuple<MemConfig, std::string, std::uint64_t>>
 {
 };
 
@@ -85,7 +85,7 @@ INSTANTIATE_TEST_SUITE_P(
 
 class FuzzEngineDifferential
     : public ::testing::TestWithParam<
-          std::tuple<MemConfig, const char *, std::uint64_t>>
+          std::tuple<MemConfig, std::string, std::uint64_t>>
 {
 };
 
@@ -165,7 +165,7 @@ INSTANTIATE_TEST_SUITE_P(
 
 class FuzzBatchDifferential
     : public ::testing::TestWithParam<
-          std::tuple<MemConfig, const char *, std::uint64_t>>
+          std::tuple<MemConfig, std::string, std::uint64_t>>
 {
 };
 

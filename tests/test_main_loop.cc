@@ -132,7 +132,7 @@ INSTANTIATE_TEST_SUITE_P(
 
 class FastForwardProperty
     : public ::testing::TestWithParam<
-          std::tuple<MemConfig, const char *, std::uint64_t>>
+          std::tuple<MemConfig, std::string, std::uint64_t>>
 {
   protected:
     static RunConfig
