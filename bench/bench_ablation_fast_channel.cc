@@ -36,7 +36,6 @@ struct Variant
     bool subRanked;
 };
 
-/** System with a hand-built CWF backend (bypasses the config factory). */
 struct AblationResult
 {
     double aggIpc = 0;
@@ -44,6 +43,8 @@ struct AblationResult
     std::uint64_t busConflicts = 0;
 };
 
+/** The default 8-core system with the variant's hand-built CWF backend
+ *  in place of the config factory's. */
 AblationResult
 runVariant(const Variant &variant, const std::string &bench,
            const ExperimentScale &scale)
@@ -62,66 +63,23 @@ runVariant(const Variant &variant, const std::string &bench,
         p.ranksPerFastSub = 1;
         p.fastChipsPerRank = 4;
     }
-
-    // Assemble a system around the custom backend via SystemParams'
-    // normal pieces but swapping the memory in: simplest is to build the
-    // backend and hierarchy/cores manually mirroring sim::System.
     auto backend = std::make_unique<cwf::CwfHeteroMemory>(
         p, std::make_unique<cwf::StaticLayout>());
-    cwf::CwfHeteroMemory *mem = backend.get();
+    const cwf::AggregatedFastChannel &fast = backend->fastChannel();
 
-    cache::Hierarchy::Params hp;
-    cache::Hierarchy hierarchy(hp, *mem);
-    const auto &profile = workloads::suite::byName(bench);
-    std::vector<std::unique_ptr<workloads::WorkloadGenerator>> gens;
-    std::vector<std::unique_ptr<cpu::Core>> cores;
-    for (unsigned c = 0; c < 8; ++c) {
-        gens.push_back(std::make_unique<workloads::WorkloadGenerator>(
-            profile, static_cast<std::uint8_t>(c), 12345 + 17 * c,
-            static_cast<Addr>(c) << 30));
-        auto *gen = gens.back().get();
-        cores.push_back(std::make_unique<cpu::Core>(
-            static_cast<std::uint8_t>(c), cpu::Core::Params{},
-            [gen] { return gen->next(); }, hierarchy));
-    }
-    hierarchy.setWakeFn(
-        [&cores](std::uint8_t core, std::uint16_t slot, Tick when) {
-            cores.at(core)->wake(slot, when);
-        });
-
-    const RunConfig rc = scale.runConfig(8, 8);
-    Tick now = 0;
-    auto run_until = [&](std::uint64_t target, Tick cap) {
-        const std::uint64_t start =
-            hierarchy.stats().demandCompletions.value();
-        const Tick deadline = now + cap;
-        while (hierarchy.stats().demandCompletions.value() - start <
-                   target &&
-               now < deadline) {
-            for (auto &core : cores)
-                core->tick(now);
-            hierarchy.tick(now);
-            mem->tick(now);
-            now += 1;
-        }
-    };
-    run_until(rc.warmupReads, rc.maxWarmupTicks);
-    const Tick window_start = now;
-    for (auto &core : cores)
-        core->resetStats(now);
-    hierarchy.resetStats();
-    mem->resetStats(now);
-    run_until(rc.measureReads, rc.maxMeasureTicks);
+    const SystemParams params;
+    System system(params, workloads::suite::byName(bench), params.cores,
+                  std::move(backend));
+    const RunResult r =
+        runSimulation(system, scale.runConfig(params.cores, params.cores));
 
     AblationResult out;
-    for (auto &core : cores)
-        out.aggIpc += core->ipc(now);
-    (void)window_start;
-    std::vector<const dram::Channel *> fast;
-    for (unsigned s = 0; s < mem->fastChannel().subChannels(); ++s)
-        fast.push_back(&mem->fastChannel().sub(s));
-    out.fastPowerMw = cwf::aggregatePowerMw(fast);
-    out.busConflicts = mem->fastChannel().arbiter().conflicts();
+    out.aggIpc = r.aggIpc;
+    std::vector<const dram::Channel *> subs;
+    for (unsigned s = 0; s < fast.subChannels(); ++s)
+        subs.push_back(&fast.sub(s));
+    out.fastPowerMw = cwf::aggregatePowerMw(subs);
+    out.busConflicts = fast.arbiter().conflicts();
     return out;
 }
 

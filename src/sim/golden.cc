@@ -117,7 +117,7 @@ renderGoldenDigest(System &system, const RunResult &result,
     w.key("schema").value(1);
     w.key("config").value(toString(system.params().mem));
     w.key("backend").value(system.backend().name());
-    w.key("benchmark").value(system.profile().name);
+    w.key("benchmark").value(system.workload());
     w.key("cores").value(system.activeCores());
     w.key("seed").value(system.params().seed);
     w.key("measure_reads").value(rc.measureReads);

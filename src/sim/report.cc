@@ -48,7 +48,7 @@ renderReport(System &system, const RunResult &result)
 
     out.section("run");
     out.add("run.config", system.backend().name());
-    out.add("run.benchmark", system.profile().name);
+    out.add("run.benchmark", system.workload());
     out.add("run.window_ticks", result.windowTicks);
     out.add("run.seconds", result.seconds);
     out.add("run.demand_reads", result.demandReads);
@@ -129,7 +129,7 @@ renderReportJson(System &system, const RunResult &result)
 
     w.key("run").beginObject();
     w.key("config").value(system.backend().name());
-    w.key("benchmark").value(system.profile().name);
+    w.key("benchmark").value(system.workload());
     w.key("active_cores").value(system.activeCores());
     w.key("window_ticks").value(
         static_cast<std::uint64_t>(result.windowTicks));

@@ -1,14 +1,17 @@
 /**
  * @file
- * Whole-system assembly: workload generators, cores, cache hierarchy and
+ * Whole-system assembly: per-core op sources, cores, cache hierarchy and
  * the memory backend, wired together and advanced on the global CPU
  * clock one cycle at a time — every core, then the hierarchy, then the
- * backend, on every tick.
+ * backend, on every tick.  This is the only place a simulated stack is
+ * wired: suite workloads, traces and hand-configured backends all come
+ * in through the constructors.
  */
 
 #ifndef HETSIM_SIM_SYSTEM_HH
 #define HETSIM_SIM_SYSTEM_HH
 
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -25,13 +28,33 @@ namespace hetsim::sim
 class System
 {
   public:
+    /** Builds the op stream of core @p core, whose addresses live in
+     *  the 1 GB slice starting at @p base. */
+    using SourceFactory =
+        std::function<cpu::Core::OpSource(std::uint8_t core, Addr base)>;
+
     /**
+     * Runs @p profile's generator on each active core, seeded
+     * params.seed + 17 * core.
+     *
      * @param active_cores  cores actually running the workload; the
      *        paper's IPC_alone runs use 1, shared runs use params.cores.
+     * @param backend  memory to wire in; null builds buildBackend(params).
      */
     System(const SystemParams &params,
            const workloads::BenchmarkProfile &profile,
-           unsigned active_cores);
+           unsigned active_cores,
+           std::unique_ptr<cwf::MemoryBackend> backend = nullptr);
+
+    /** Runs the op streams @p sources makes for each active core; the
+     *  reports name the run @p workload. */
+    System(const SystemParams &params, std::string workload,
+           unsigned active_cores, const SourceFactory &sources,
+           std::unique_ptr<cwf::MemoryBackend> backend = nullptr);
+
+    /** The hierarchy's callbacks hold this System's address. */
+    System(const System &) = delete;
+    System &operator=(const System &) = delete;
 
     /** Advance one CPU cycle: tick every core in id order, then the
      *  hierarchy, then the backend. */
@@ -56,7 +79,9 @@ class System
     cache::Hierarchy &hierarchy() { return *hierarchy_; }
     cwf::MemoryBackend &backend() { return *backend_; }
     const SystemParams &params() const { return params_; }
-    const workloads::BenchmarkProfile &profile() const { return profile_; }
+    /** Name of the workload the cores run (a suite benchmark or a
+     *  trace). */
+    const std::string &workload() const { return workload_; }
 
     /**
      * Host-side main-loop self-profile (HETSIM_PROFILE=1, or
@@ -98,12 +123,11 @@ class System
     void tickProfiled();
 
     SystemParams params_;
-    const workloads::BenchmarkProfile &profile_;
+    std::string workload_;
     unsigned activeCores_;
 
     std::unique_ptr<cwf::MemoryBackend> backend_;
     std::unique_ptr<cache::Hierarchy> hierarchy_;
-    std::vector<std::unique_ptr<workloads::WorkloadGenerator>> gens_;
     std::vector<std::unique_ptr<cpu::Core>> cores_;
 
     StatRegistry statRegistry_;
