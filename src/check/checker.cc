@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <cstring>
 #include <sstream>
 
+#include "common/env.hh"
 #include "common/log.hh"
 
 namespace hetsim::check
@@ -105,16 +107,15 @@ Checker::Checker()
 void
 Checker::configureFromEnvironment()
 {
-    const char *gate = std::getenv("HETSIM_CHECK");
-    if (!gate)
-        return;
-    const std::string v(gate);
-    if (v.empty() || v == "0" || v == "false" || v == "off")
+    if (!envFlag("HETSIM_CHECK", false))
         return;
     Mode mode = Mode::Abort;
-    if (const char *m = std::getenv("HETSIM_CHECK_MODE")) {
-        if (std::string(m) == "collect")
+    if (const char *m = std::getenv("HETSIM_CHECK_MODE"); m && *m) {
+        if (!std::strcmp(m, "collect"))
             mode = Mode::Collect;
+        else if (std::strcmp(m, "abort"))
+            fatal("HETSIM_CHECK_MODE: expected abort|collect, got '", m,
+                  "'");
     }
     enable(mode);
 }

@@ -27,8 +27,10 @@
  * from the environment or programmatically:
  *
  *   HETSIM_CHECK=1           enable (abort mode: first violation panics
- *                            with a structured report)
+ *                            with a structured report); takes
+ *                            0|1|false|true|off|on, anything else is fatal
  *   HETSIM_CHECK_MODE=collect  record violations instead of aborting
+ *                            (abort|collect; anything else is fatal)
  *
  * Violations carry the event context (tick, channel, rank, bank, rule)
  * so a failing run points at the offending command, not just a stat.
@@ -198,10 +200,13 @@ class Checker
     Checker(const Checker &) = delete;
     Checker &operator=(const Checker &) = delete;
 
+    /** Apply HETSIM_CHECK and HETSIM_CHECK_MODE (done once before
+     *  main); a malformed value is fatal. */
+    void configureFromEnvironment();
+
   private:
     Checker();
 
-    void configureFromEnvironment();
     void violate(Rule rule, Tick tick, std::string where,
                  std::string message);
     void clearState();

@@ -3,11 +3,29 @@
 #include <cctype>
 #include <cerrno>
 #include <cstdlib>
+#include <cstring>
 
 #include "common/log.hh"
 
 namespace hetsim
 {
+
+bool
+envFlag(const char *name, bool fallback)
+{
+    const char *v = std::getenv(name);
+    if (!v || !*v)
+        return fallback;
+    for (const char *on : {"1", "true", "on"}) {
+        if (!std::strcmp(v, on))
+            return true;
+    }
+    for (const char *off : {"0", "false", "off"}) {
+        if (!std::strcmp(v, off))
+            return false;
+    }
+    fatal(name, ": expected 0|1|false|true|off|on, got '", v, "'");
+}
 
 double
 envRate(const char *name, double fallback)

@@ -1,10 +1,10 @@
 /**
  * @file
- * Strict parsing of numeric HETSIM_* environment knobs.  An unset or
- * empty variable yields the caller's fallback; any other value must
- * parse completely, or the run stops up front with fatal() naming the
+ * Strict parsing of HETSIM_* environment knobs.  An unset or empty
+ * variable yields the caller's fallback; any other value must parse
+ * completely, or the run stops up front with fatal() naming the
  * variable and the bad value — `HETSIM_READS=4k` is an error, not a
- * quantum of 4.
+ * quantum of 4, and `HETSIM_CHECK=no` is an error, not "on".
  */
 
 #ifndef HETSIM_COMMON_ENV_HH
@@ -14,6 +14,10 @@
 
 namespace hetsim
 {
+
+/** @p name as an on/off switch (0|1|false|true|off|on), or @p fallback
+ *  when unset. */
+bool envFlag(const char *name, bool fallback);
 
 /** @p name as a probability in [0,1], or @p fallback when unset. */
 double envRate(const char *name, double fallback);

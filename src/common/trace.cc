@@ -97,11 +97,7 @@ Tracer::~Tracer()
 void
 Tracer::configureFromEnvironment()
 {
-    const char *gate = std::getenv("HETSIM_TRACE");
-    if (!gate)
-        return;
-    const std::string v(gate);
-    if (v.empty() || v == "0" || v == "false" || v == "off")
+    if (!envFlag("HETSIM_TRACE", false))
         return;
 
     capacity_ = envU64("HETSIM_TRACE_BUFFER", capacity_, 1);

@@ -12,6 +12,7 @@
  * environment:
  *
  *   HETSIM_TRACE=1            enable, sink to HETSIM_TRACE_FILE
+ *                             (0|1|false|true|off|on; else fatal)
  *   HETSIM_TRACE_FILE=<path>  sink path (default "hetsim_trace.jsonl")
  *   HETSIM_TRACE_FORMAT=csv   CSV instead of JSONL
  *   HETSIM_TRACE_FORMAT=chrome  Chrome trace-event JSON (Perfetto /

@@ -4,6 +4,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <ostream>
+#include <sstream>
 #include <string>
 
 #include "check/checker.hh"
@@ -108,13 +109,19 @@ FaultParams::fromEnv(const FaultParams &base)
     p.busErrorRate = envRate("HETSIM_FAULT_BUS", p.busErrorRate);
     if (const char *scope = std::getenv("HETSIM_FAULT_SCOPE");
         scope && *scope) {
-        const std::string s(scope);
-        p.scopeFast = s.find("fast") != std::string::npos;
-        p.scopeSlow = s.find("slow") != std::string::npos;
-        p.scopeHmc = s.find("hmc") != std::string::npos;
-        if (!p.scopeFast && !p.scopeSlow && !p.scopeHmc)
-            fatal("HETSIM_FAULT_SCOPE: expected a comma-separated "
-                  "subset of fast,slow,hmc, got '", scope, "'");
+        p.scopeFast = p.scopeSlow = p.scopeHmc = false;
+        std::stringstream ss(scope);
+        std::string tok;
+        while (std::getline(ss, tok, ',')) {
+            bool *flag = tok == "fast"   ? &p.scopeFast
+                         : tok == "slow" ? &p.scopeSlow
+                         : tok == "hmc"  ? &p.scopeHmc
+                                         : nullptr;
+            if (!flag)
+                fatal("HETSIM_FAULT_SCOPE: expected a comma-separated "
+                      "subset of fast,slow,hmc, got '", scope, "'");
+            *flag = true;
+        }
     }
     p.maxRetries =
         static_cast<unsigned>(envU64("HETSIM_FAULT_RETRIES", p.maxRetries));
