@@ -23,7 +23,6 @@ int
 main(int argc, char **argv)
 {
     Config cfg;
-    cfg.importEnvironment();
     cfg.parseArgs(argc, argv);
 
     const std::string bench = cfg.getString("bench", "leslie3d");

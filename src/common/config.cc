@@ -7,8 +7,6 @@
 
 #include "common/log.hh"
 
-extern char **environ;
-
 namespace hetsim
 {
 
@@ -33,25 +31,6 @@ Config::parseArgs(int argc, const char *const *argv)
         set(tok.substr(0, eq), tok.substr(eq + 1));
     }
     return rest;
-}
-
-void
-Config::importEnvironment()
-{
-    for (char **env = environ; env && *env; ++env) {
-        const std::string entry = *env;
-        if (entry.rfind("HETSIM_", 0) != 0)
-            continue;
-        const auto eq = entry.find('=');
-        if (eq == std::string::npos)
-            continue;
-        std::string key = entry.substr(7, eq - 7);
-        std::transform(key.begin(), key.end(), key.begin(),
-                       [](unsigned char c) {
-                           return c == '_' ? '.' : std::tolower(c);
-                       });
-        set(key, entry.substr(eq + 1));
-    }
 }
 
 bool

@@ -1,7 +1,8 @@
 /**
  * @file
- * Tiny key=value configuration store used to parameterise examples and
- * bench binaries from the command line and the environment.
+ * Tiny key=value configuration store used to parameterise the examples
+ * from their command line.  Environment knobs (HETSIM_*) are not keys
+ * here: the library reads them with its own strict parsers.
  *
  * Keys are dotted strings ("sim.reads", "mem.channels").  Values are
  * stored as strings and converted on access with strict validation; a
@@ -28,9 +29,6 @@ class Config
     /** Parse "key=value" tokens (e.g. from argv); other tokens are
      *  returned untouched for the caller to interpret. */
     std::vector<std::string> parseArgs(int argc, const char *const *argv);
-
-    /** Import HETSIM_* environment variables: HETSIM_FOO_BAR -> foo.bar. */
-    void importEnvironment();
 
     bool has(const std::string &key) const;
 
