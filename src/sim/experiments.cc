@@ -221,6 +221,8 @@ ExperimentRunner::prefetch(const std::vector<RunSpec> &specs)
         std::unordered_set<std::string> seen;
         std::lock_guard<std::mutex> lock(cacheMutex_);
         for (const auto &spec : specs) {
+            // Bad parameters stop the sweep here, before any run starts.
+            validate(spec.params);
             const unsigned active =
                 spec.activeCores ? spec.activeCores : spec.params.cores;
             std::string key = keyFor(spec.params, spec.bench, active);

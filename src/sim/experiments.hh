@@ -124,6 +124,7 @@ class ExperimentRunner
      * Run every not-yet-memoised spec on the thread pool and commit the
      * results.  Duplicate specs (and specs already cached) run once.
      * Afterwards sharedRun()/aloneRun() for those specs are cache hits.
+     * Every spec's params pass validate() before the first run starts.
      */
     void prefetch(const std::vector<RunSpec> &specs);
 

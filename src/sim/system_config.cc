@@ -177,6 +177,17 @@ buildCwf(const SystemParams &params)
 
 } // namespace
 
+void
+validate(const SystemParams &params)
+{
+    if (params.cores == 0 || params.cores > 256)
+        fatal("SystemParams: cores must be in [1,256], got ", params.cores);
+    if (!params.hotPages.empty() && params.mem != MemConfig::PagePlacement)
+        fatal("SystemParams: ", params.hotPages.size(),
+              " hot pages given to ", toString(params.mem),
+              "; only PagePlacement places hot pages");
+}
+
 std::unique_ptr<cwf::MemoryBackend>
 buildBackend(const SystemParams &params)
 {

@@ -63,6 +63,10 @@ struct SystemParams
     std::string cacheKey() const;
 };
 
+/** fatal() unless @p params describes a system that can run: 1 to 256
+ *  cores (core ids are 8-bit) and hot pages only under PagePlacement. */
+void validate(const SystemParams &params);
+
 /** Construct the memory backend for @p params. */
 std::unique_ptr<cwf::MemoryBackend> buildBackend(const SystemParams &params);
 

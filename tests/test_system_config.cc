@@ -2,13 +2,20 @@
  * @file
  * Configuration-factory tests: every named configuration builds a
  * backend with the right device composition, layouts match the config,
- * and names round-trip.
+ * names round-trip, and parameters that cannot run are refused before
+ * any run starts.
  */
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cstdlib>
+
 #include "common/log.hh"
+#include "sim/experiments.hh"
+#include "sim/system.hh"
 #include "sim/system_config.hh"
+#include "workloads/suite.hh"
 
 using namespace hetsim;
 using namespace hetsim::sim;
@@ -104,6 +111,62 @@ TEST(SystemParams, CacheKeyDistinguishesConfigs)
     b = a;
     b.seed += 1;
     EXPECT_NE(a.cacheKey(), b.cacheKey());
+}
+
+TEST(SystemParamsDeathTest, CoreCountMustFitEightBitIds)
+{
+    const auto build = [](unsigned cores) {
+        SystemParams p;
+        p.cores = cores;
+        System system(p, workloads::suite::byName("mcf"), 1);
+    };
+    EXPECT_EXIT(build(0), ::testing::ExitedWithCode(1),
+                "SystemParams: cores must be in \\[1,256\\], got 0");
+    // Core ids are 8-bit: core 256 would alias core 0.
+    EXPECT_EXIT(build(257), ::testing::ExitedWithCode(1), "got 257");
+    SystemParams widest;
+    widest.cores = 256;
+    validate(widest);
+}
+
+TEST(SystemParamsDeathTest, HotPagesNeedPagePlacement)
+{
+    // Hot pages elsewhere would be ignored, yet split the memo key.
+    EXPECT_EXIT(
+        {
+            SystemParams p;
+            p.mem = MemConfig::CwfRL;
+            p.hotPages.insert(1);
+            p.hotPages.insert(2);
+            System system(p, workloads::suite::byName("mcf"), 1);
+        },
+        ::testing::ExitedWithCode(1),
+        "SystemParams: 2 hot pages given to RL; only PagePlacement "
+        "places hot pages");
+    SystemParams pp;
+    pp.mem = MemConfig::PagePlacement;
+    pp.hotPages = {1, 2};
+    validate(pp);
+}
+
+TEST(SystemParams, SweepValidatesEverySpecBeforeAnyRun)
+{
+    setenv("HETSIM_READS", "500", 1);
+    ExperimentRunner runner(1);
+    unsetenv("HETSIM_READS");
+    std::atomic<unsigned> runs{0};
+    setRunProbeForTest([&runs](const RunSpec &) { ++runs; });
+    SystemParams bad = ExperimentRunner::paramsFor(MemConfig::BaselineDDR3);
+    bad.hotPages = {7};
+    setLogThrowOnError(true);
+    EXPECT_THROW(
+        runner.prefetch({{ExperimentRunner::paramsFor(MemConfig::CwfRL),
+                          "mcf"},
+                         {bad, "mcf"}}),
+        SimError);
+    setLogThrowOnError(false);
+    setRunProbeForTest(nullptr);
+    EXPECT_EQ(runs.load(), 0u) << "the good spec must not run either";
 }
 
 } // namespace
