@@ -18,6 +18,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdlib>
 #include <fstream>
@@ -205,6 +206,24 @@ INSTANTIATE_TEST_SUITE_P(Matrix, GoldenRun,
 TEST(GoldenSuite, CoversSixConfigs)
 {
     EXPECT_EQ(goldenSpecs().size(), 6u);
+}
+
+TEST(GoldenSuite, InjectedBackendMatchesTheBuiltOne)
+{
+    // Handing System the backend buildBackend(params) makes is the same
+    // stack as letting the constructor build it.
+    const auto &matrix = goldenMatrixSpecs();
+    const auto spec = std::find_if(
+        matrix.begin(), matrix.end(), [](const GoldenSpec &s) {
+            return std::string(s.key) == "matrix_libquantum_rl";
+        });
+    ASSERT_NE(spec, matrix.end());
+    const SystemParams params = goldenParams(*spec);
+    System system(params, workloads::suite::byName(spec->benchmark),
+                  kGoldenCores, buildBackend(params));
+    const RunResult r = runSimulation(system, spec->run);
+    EXPECT_EQ(renderGoldenDigest(system, r, spec->run),
+              readFile(goldenPath(*spec)));
 }
 
 } // namespace
