@@ -85,8 +85,8 @@ runVariant(const Variant &variant, const std::string &bench,
 
 } // namespace
 
-int
-main()
+void
+bench::ablation_fast_channel(ExperimentRunner &)
 {
     bench::printHeader(
         "Ablation (Section 4.2.4)",
@@ -121,5 +121,4 @@ main()
                   << Table::percent(ipc_a / ipc_b - 1)
                   << " (paper: sharing is safe)\n\n";
     }
-    return 0;
 }

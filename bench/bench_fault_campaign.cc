@@ -42,13 +42,19 @@ faultsAt(double ber)
 
 } // namespace
 
-int
-main()
+void
+bench::fault_campaign(ExperimentRunner &)
 {
     bench::printHeader(
         "Fault campaign", "BER sweep over the golden configurations",
         "every injected fault is corrected, retried or escalated; "
         "persistent faults degrade the fast tier instead of wedging it");
+
+    // Each run arms the checker itself; later sections get back the
+    // checker state (HETSIM_CHECK / HETSIM_CHECK_MODE) found here.
+    check::Checker &checker = check::Checker::instance();
+    const bool was_enabled = checker.enabled();
+    const check::Mode was_mode = checker.mode();
 
     const std::vector<double> bers = {0.0, 1e-4, 1e-3, 1e-2};
 
@@ -65,7 +71,7 @@ main()
             params.seed = kGoldenSeed;
             params.fault = faultsAt(ber);
 
-            check::Checker::instance().enable(check::Mode::Abort);
+            checker.enable(check::Mode::Abort);
             System system(params,
                           workloads::suite::byName(kGoldenBenchmark),
                           kGoldenCores);
@@ -109,10 +115,12 @@ main()
             // parked re-reads) legitimately in flight, so skip the leak
             // finalizer; the armed checker already validated every
             // resolution against its injection during the run.
-            check::Checker::instance().disable();
+            checker.disable();
         }
     }
 
+    if (was_enabled)
+        checker.enable(was_mode);
+
     bench::printTableAndCsv(t);
-    return 0;
 }

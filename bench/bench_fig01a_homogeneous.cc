@@ -10,14 +10,13 @@
 using namespace hetsim;
 using namespace hetsim::sim;
 
-int
-main()
+void
+bench::fig01a_homogeneous(ExperimentRunner &runner)
 {
     bench::printHeader(
         "Figure 1(a)", "sensitivity to homogeneous DRAM flavours",
         "RLDRAM3 outperforms DDR3 by ~31% on average; LPDDR2 loses ~13%");
 
-    ExperimentRunner runner;
     const SystemParams baseline =
         ExperimentRunner::paramsFor(MemConfig::BaselineDDR3);
     const SystemParams rldram =
@@ -42,5 +41,4 @@ main()
     std::cout << "\nmeasured: RLDRAM3 " << Table::percent(mean(rl_norms) - 1)
               << " vs paper +31%;  LPDDR2 "
               << Table::percent(mean(lp_norms) - 1) << " vs paper -13%\n";
-    return 0;
 }

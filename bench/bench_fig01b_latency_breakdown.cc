@@ -11,15 +11,14 @@
 using namespace hetsim;
 using namespace hetsim::sim;
 
-int
-main()
+void
+bench::fig01b_latency_breakdown(ExperimentRunner &runner)
 {
     bench::printHeader(
         "Figure 1(b)", "read latency breakdown (queue vs core)",
         "RLDRAM3 cuts queue latency drastically; LPDDR2 is ~41% slower "
         "than DDR3");
 
-    ExperimentRunner runner;
     runner.prefetchShared(
         {ExperimentRunner::paramsFor(MemConfig::BaselineDDR3),
          ExperimentRunner::paramsFor(MemConfig::HomoRLDRAM3),
@@ -64,5 +63,4 @@ main()
               << " below DDR3 (paper ~43% lower); LPDDR2 "
               << Table::percent(lp_total / ddr3_total - 1)
               << " above DDR3 (paper ~41% higher)\n";
-    return 0;
 }

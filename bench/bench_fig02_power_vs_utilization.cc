@@ -12,8 +12,8 @@
 using namespace hetsim;
 using power::ChipPowerModel;
 
-int
-main()
+void
+bench::fig02_power_vs_utilization(sim::ExperimentRunner &)
 {
     bench::printHeader(
         "Figure 2", "chip power vs bus utilization",
@@ -47,5 +47,4 @@ main()
     std::cout << "\nmeasured: RLDRAM3/DDR3 power ratio " << Table::num(r0, 2)
               << "x at idle -> " << Table::num(r8, 2)
               << "x at 80% utilization (paper: \"more comparable\")\n";
-    return 0;
 }

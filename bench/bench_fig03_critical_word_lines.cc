@@ -89,8 +89,8 @@ analyse(const std::string &bench)
 
 } // namespace
 
-int
-main()
+void
+bench::fig03_critical_word_lines(ExperimentRunner &)
 {
     bench::printHeader(
         "Figure 3", "critical words within highly-accessed lines",
@@ -99,5 +99,4 @@ main()
         "words 0/3");
     analyse("leslie3d");
     analyse("mcf");
-    return 0;
 }

@@ -10,15 +10,14 @@
 using namespace hetsim;
 using namespace hetsim::sim;
 
-int
-main()
+void
+bench::fig04_critical_word_distribution(ExperimentRunner &runner)
 {
     bench::printHeader(
         "Figure 4", "critical word distribution per program",
         "word 0 is critical in >50% of fetches for 21 of 27 programs; "
         "~67% of all fetches suite-wide; pointer chasers are uniform");
 
-    ExperimentRunner runner;
     const SystemParams baseline =
         ExperimentRunner::paramsFor(MemConfig::BaselineDDR3);
     runner.prefetchShared({baseline});
@@ -45,5 +44,4 @@ main()
               << " of fetches on average (paper: 67%); " << w0_majority
               << "/" << counted
               << " programs have a word-0 majority (paper: 21/27)\n";
-    return 0;
 }

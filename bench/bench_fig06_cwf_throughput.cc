@@ -10,8 +10,8 @@
 using namespace hetsim;
 using namespace hetsim::sim;
 
-int
-main()
+void
+bench::fig06_cwf_throughput(ExperimentRunner &runner)
 {
     bench::printHeader(
         "Figure 6", "CWF heterogeneous system throughput",
@@ -19,7 +19,6 @@ main()
         "mg, sp, GemsFDTD, leslie3d, libquantum) gain most; bzip2 "
         "regresses ~4% under RL");
 
-    ExperimentRunner runner;
     const SystemParams baseline =
         ExperimentRunner::paramsFor(MemConfig::BaselineDDR3);
     const SystemParams rd = ExperimentRunner::paramsFor(MemConfig::CwfRD);
@@ -47,5 +46,4 @@ main()
               << " (paper +21%), RL " << Table::percent(mean(rl_n) - 1)
               << " (paper +12.9%), DL " << Table::percent(mean(dl_n) - 1)
               << " (paper -9%)\n";
-    return 0;
 }

@@ -11,15 +11,14 @@
 using namespace hetsim;
 using namespace hetsim::sim;
 
-int
-main()
+void
+bench::fig07_critical_word_latency(ExperimentRunner &runner)
 {
     bench::printHeader(
         "Figure 7", "critical word latency",
         "RD cuts critical-word latency ~30%, RL ~22% versus the DDR3 "
         "baseline");
 
-    ExperimentRunner runner;
     const std::vector<MemConfig> configs{
         MemConfig::BaselineDDR3, MemConfig::CwfRD, MemConfig::CwfRL,
         MemConfig::CwfDL};
@@ -60,5 +59,4 @@ main()
               << Table::percent(1 - sums[2] / sums[0])
               << " (paper 22%), DL "
               << Table::percent(1 - sums[3] / sums[0]) << "\n";
-    return 0;
 }

@@ -10,15 +10,14 @@
 using namespace hetsim;
 using namespace hetsim::sim;
 
-int
-main()
+void
+bench::fig08_rldram_service_fraction(ExperimentRunner &runner)
 {
     bench::printHeader(
         "Figure 8", "critical words served by RLDRAM3 (static word 0)",
         "~67% suite-wide; near-100% for word-0 programs, low for "
         "lbm/mcf/milc/omnetpp");
 
-    ExperimentRunner runner;
     const SystemParams rl = ExperimentRunner::paramsFor(MemConfig::CwfRL);
     runner.prefetchShared({rl});
 
@@ -52,5 +51,4 @@ main()
               << Table::percent(win / winners.size())
               << "; pointer chasers average: "
               << Table::percent(chase / chasers.size()) << "\n";
-    return 0;
 }

@@ -10,15 +10,14 @@
 using namespace hetsim;
 using namespace hetsim::sim;
 
-int
-main()
+void
+bench::fig09_adaptive_oracle(ExperimentRunner &runner)
 {
     bench::printHeader(
         "Figure 9", "adaptive and oracle critical-word placement",
         "RL +12.9% < RL AD +15.7% < RL OR +28% < all-RLDRAM3; mcf gains "
         "most from adaptation (words 0/3)");
 
-    ExperimentRunner runner;
     const SystemParams baseline =
         ExperimentRunner::paramsFor(MemConfig::BaselineDDR3);
     const std::vector<MemConfig> configs{
@@ -69,5 +68,4 @@ main()
               << " <= RL OR " << Table::num(mean(norms[2]), 3)
               << " <= RLDRAM3 " << Table::num(mean(norms[3]), 3)
               << "  (paper: 1.129 < 1.157 < 1.28 < all-RLDRAM3)\n";
-    return 0;
 }

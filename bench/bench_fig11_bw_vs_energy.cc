@@ -16,15 +16,14 @@ using namespace hetsim::sim;
 using power::RunEnergyInput;
 using power::SystemEnergyModel;
 
-int
-main()
+void
+bench::fig11_bw_vs_energy(ExperimentRunner &runner)
 {
     bench::printHeader(
         "Figure 11", "bandwidth utilization vs RL energy savings",
         "energy savings generally increase with bandwidth utilization; "
         "low-utilization programs can see net increases");
 
-    ExperimentRunner runner;
     const SystemParams baseline =
         ExperimentRunner::paramsFor(MemConfig::BaselineDDR3);
     const SystemParams rl = ExperimentRunner::paramsFor(MemConfig::CwfRL);
@@ -63,7 +62,7 @@ main()
     const std::size_t third = points.size() / 3;
     if (third == 0) {
         std::cout << "\n(too few workloads for a trend split)\n";
-        return 0;
+        return;
     }
     double low = 0, high = 0;
     for (std::size_t i = 0; i < third; ++i) {
@@ -75,5 +74,4 @@ main()
               << Table::percent(high / third)
               << " in the most-utilized third (paper: savings grow with "
                  "utilization)\n";
-    return 0;
 }

@@ -12,8 +12,8 @@
 using namespace hetsim;
 using namespace hetsim::sim;
 
-int
-main()
+void
+bench::future_hmc(ExperimentRunner &runner)
 {
     bench::printHeader(
         "Section 10 (future work)",
@@ -21,7 +21,6 @@ main()
         "\"the critical data could be returned in an earlier "
         "high-priority packet\" - sketched, not evaluated, in the paper");
 
-    ExperimentRunner runner;
     const SystemParams ddr3 =
         ExperimentRunner::paramsFor(MemConfig::BaselineDDR3);
     const SystemParams hmc =
@@ -56,5 +55,4 @@ main()
               << Table::percent(mean(rel) - 1)
               << " over the same cube without them (no paper number to "
                  "compare; the paper only sketches the design)\n";
-    return 0;
 }

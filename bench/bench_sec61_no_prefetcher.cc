@@ -10,14 +10,13 @@
 using namespace hetsim;
 using namespace hetsim::sim;
 
-int
-main()
+void
+bench::sec61_no_prefetcher(ExperimentRunner &runner)
 {
     bench::printHeader(
         "Section 6.1.1 (no prefetcher)", "RL gain without prefetching",
         "RL improves 17.3% without the prefetcher vs 12.9% with it");
 
-    ExperimentRunner runner;
     runner.prefetchThroughput(
         {ExperimentRunner::paramsFor(MemConfig::CwfRL, true)},
         ExperimentRunner::paramsFor(MemConfig::BaselineDDR3, true));
@@ -49,5 +48,4 @@ main()
               << " with prefetcher vs " << Table::percent(
                      mean(without_pf) - 1)
               << " without (paper: 12.9% vs 17.3%)\n";
-    return 0;
 }

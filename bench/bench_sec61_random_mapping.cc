@@ -11,8 +11,8 @@
 using namespace hetsim;
 using namespace hetsim::sim;
 
-int
-main()
+void
+bench::sec61_random_mapping(ExperimentRunner &runner)
 {
     bench::printHeader(
         "Section 6.1.1 (random mapping)",
@@ -20,7 +20,6 @@ main()
         "random mapping yields only ~2.1% average improvement with many "
         "applications severely degraded");
 
-    ExperimentRunner runner;
     const SystemParams baseline =
         ExperimentRunner::paramsFor(MemConfig::BaselineDDR3);
     const SystemParams rl = ExperimentRunner::paramsFor(MemConfig::CwfRL);
@@ -50,5 +49,4 @@ main()
               << Table::percent(mean(rnd_n) - 1) << " vs static "
               << Table::percent(mean(rl_n) - 1) << "; " << degraded
               << " workloads degraded >3% under random placement\n";
-    return 0;
 }

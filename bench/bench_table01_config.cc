@@ -14,8 +14,8 @@
 
 using namespace hetsim;
 
-int
-main()
+void
+bench::table01_config(sim::ExperimentRunner &)
 {
     bench::printHeader("Table 1", "simulator parameters",
                        "the simulated 8-core machine configuration");
@@ -67,5 +67,4 @@ main()
     bench::printTableAndCsv(t);
 
     std::cout << "\nself-check passed: constructed objects match Table 1\n";
-    return 0;
 }

@@ -28,8 +28,8 @@ ns(unsigned cycles, const DeviceParams &dev)
 
 } // namespace
 
-int
-main()
+void
+bench::table02_timing(sim::ExperimentRunner &)
 {
     bench::printHeader("Table 2", "DRAM timing parameters",
                        "tRC 50/12/60 ns, tRL 13.5/10/18 ns, ... for "
@@ -79,5 +79,4 @@ main()
     bench::printTableAndCsv(t);
 
     std::cout << "\nself-check passed: timings match Table 2\n";
-    return 0;
 }
