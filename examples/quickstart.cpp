@@ -23,7 +23,7 @@ int
 main(int argc, char **argv)
 {
     Config cfg;
-    cfg.parseArgs(argc, argv);
+    cfg.parseArgs(argc, argv, {"bench", "sim.reads", "mem.config"});
 
     const std::string bench = cfg.getString("bench", "leslie3d");
     const std::string config_name = cfg.getString("mem.config", "RL");

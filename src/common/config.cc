@@ -33,6 +33,24 @@ Config::parseArgs(int argc, const char *const *argv)
     return rest;
 }
 
+void
+Config::parseArgs(int argc, const char *const *argv,
+                  const std::vector<std::string> &keys)
+{
+    std::string valid;
+    for (const auto &k : keys)
+        valid += (valid.empty() ? "" : ", ") + k;
+    const std::vector<std::string> rest = parseArgs(argc, argv);
+    if (!rest.empty())
+        fatal("argument '", rest.front(), "' is not key=value; valid keys: ",
+              valid);
+    for (const auto &entry : entries_) {
+        if (std::find(keys.begin(), keys.end(), entry.first) == keys.end())
+            fatal("unknown config key '", entry.first, "'; valid keys: ",
+                  valid);
+    }
+}
+
 bool
 Config::has(const std::string &key) const
 {

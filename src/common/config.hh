@@ -30,6 +30,12 @@ class Config
      *  returned untouched for the caller to interpret. */
     std::vector<std::string> parseArgs(int argc, const char *const *argv);
 
+    /** parseArgs() for a command line that takes only @p keys: a token
+     *  that is not key=value, or a key not in @p keys, is fatal and the
+     *  message lists @p keys. */
+    void parseArgs(int argc, const char *const *argv,
+                   const std::vector<std::string> &keys);
+
     bool has(const std::string &key) const;
 
     std::string getString(const std::string &key,

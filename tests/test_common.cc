@@ -177,6 +177,27 @@ TEST(Config, MalformedValueIsFatal)
     setLogThrowOnError(false);
 }
 
+TEST(ConfigDeathTest, UnknownKeyIsFatalAndListsValidKeys)
+{
+    // A typo used to be ignored: sim.read=500 ran the default quantum.
+    const char *typo[] = {"prog", "bench=mcf", "sim.read=500"};
+    EXPECT_EXIT(
+        {
+            Config cfg;
+            cfg.parseArgs(3, typo, {"bench", "sim.reads"});
+        },
+        ::testing::ExitedWithCode(1),
+        "unknown config key 'sim.read'; valid keys: bench, sim.reads");
+    const char *stray[] = {"prog", "mcf"};
+    EXPECT_EXIT(
+        {
+            Config cfg;
+            cfg.parseArgs(2, stray, {"bench", "sim.reads"});
+        },
+        ::testing::ExitedWithCode(1),
+        "argument 'mcf' is not key=value; valid keys: bench, sim.reads");
+}
+
 // ---------------------------------------------------------------- env
 
 TEST(Env, UnsetOrEmptyYieldsFallback)
