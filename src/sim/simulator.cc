@@ -1,6 +1,7 @@
 #include "sim/simulator.hh"
 
 #include "common/log.hh"
+#include "core/hetero_memory.hh"
 #include "dram/dram_params.hh"
 
 namespace hetsim::sim
@@ -100,6 +101,14 @@ runSimulation(System &system, const RunConfig &config)
     r.busUtilization = backend.busUtilization(now);
     r.latency = backend.latencySplit();
     r.rowHitRate = backend.rowHitRate();
+    if (const auto *tiered =
+            dynamic_cast<const cwf::HomogeneousMemory *>(&backend)) {
+        const std::uint64_t fast = tiered->fastAccesses().value();
+        const std::uint64_t fills = fast + tiered->slowAccesses().value();
+        r.hotTierShare = fills ? static_cast<double>(fast) /
+                                     static_cast<double>(fills)
+                               : 0.0;
+    }
     return r;
 }
 

@@ -66,6 +66,9 @@ struct RunResult
     double secondBeforeCompleteFraction = 0;
     std::uint64_t mshrFullStalls = 0;
     double rowHitRate = 0;
+    /** Share of fills routed to the hot tier (Section 7.1 page
+     *  placement); 0 for a backend without one. */
+    double hotTierShare = 0;
     /** Filled only when RunConfig::statsWindowEvery > 0. */
     std::vector<WindowSample> windows;
 };
