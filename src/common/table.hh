@@ -2,7 +2,7 @@
  * @file
  * Aligned text-table and CSV rendering for bench/example report output.
  *
- * Every bench binary prints its figure/table as (1) a human-readable
+ * Every paper section prints its figure/table as (1) a human-readable
  * aligned table and (2) a machine-readable CSV block so downstream plotting
  * can regenerate the paper's artwork.
  */

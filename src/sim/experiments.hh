@@ -1,6 +1,6 @@
 /**
  * @file
- * Shared experiment harness used by every bench binary: scales read
+ * Shared experiment harness used by the paper driver: scales read
  * quanta from the environment (HETSIM_READS / HETSIM_WORKLOADS), runs
  * (configuration, workload) pairs, memoises results — including the
  * single-core IPC_alone runs the weighted-throughput metric needs — and
