@@ -114,6 +114,7 @@ class CoreTest : public ::testing::Test
     MicroOp
     nextOp()
     {
+        sourceCalls += 1;
         if (script.empty())
             return alu();
         const MicroOp op = script.front();
@@ -132,6 +133,7 @@ class CoreTest : public ::testing::Test
     std::unique_ptr<Hierarchy> hier;
     std::unique_ptr<Core> core;
     std::deque<MicroOp> script;
+    std::uint64_t sourceCalls = 0;
 };
 
 TEST_F(CoreTest, RetiresWidthAluOpsPerCycle)
@@ -219,6 +221,26 @@ TEST_F(CoreTest, BlockedAccessIsRetriedUntilAccepted)
     EXPECT_EQ(backend.pendingIds.size(), 1u) << "op retried, not lost";
     backend.completeOldest(41);
     run(41, 80);
+}
+
+TEST_F(CoreTest, FunctionSourceIsCalledOncePerDispatchedOp)
+{
+    // A blocked op is retried from the core's own copy, not re-drawn.
+    backend.acceptFills = false;
+    script.push_back(load(0x1000));
+    run(0, 20);
+    EXPECT_EQ(sourceCalls, 1u);
+    // An op pushed mid-run is the next one drawn after the retry.
+    script.push_back(store(0x2000));
+    backend.acceptFills = true;
+    run(21, 21);
+    EXPECT_EQ(sourceCalls, 4u) << "the retried load, then 3 fresh ops";
+    EXPECT_EQ(backend.pendingIds.size(), 2u) << "load and store fills";
+    // The parked load holds the ROB head: the source is called once per
+    // ROB entry and never while the ROB is full.
+    run(22, 60);
+    EXPECT_EQ(sourceCalls, Core::Params{}.robSize);
+    EXPECT_EQ(core->retired(), 0u);
 }
 
 TEST_F(CoreTest, L1HitLatencyIsShort)

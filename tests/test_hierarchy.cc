@@ -169,6 +169,25 @@ TEST_F(HierarchyTest, SecondaryMissMergesIntoMshr)
     EXPECT_EQ(wakes.size(), 2u);
 }
 
+TEST_F(HierarchyTest, LookupCountersForL1HitL2HitAndJoin)
+{
+    hier->load(0, 1, 0x1000, 10);  // L1 and L2 miss: allocates
+    hier->load(1, 2, 0x1008, 20);  // joins the in-flight line
+    backend.deliverLine(100);      // installs in L2 and core 0's L1
+    hier->load(0, 3, 0x1000, 200); // L1 hit
+    hier->load(1, 4, 0x1000, 210); // core 1: L1 miss, L2 hit
+    // A join resolves at the MSHR: it is neither an L1 hit nor a miss.
+    EXPECT_EQ(hier->l1(0).hits().value(), 1u);
+    EXPECT_EQ(hier->l1(0).misses().value(), 1u);
+    EXPECT_EQ(hier->l1(1).hits().value(), 0u);
+    EXPECT_EQ(hier->l1(1).misses().value(), 1u);
+    EXPECT_EQ(hier->l2().hits().value(), 1u);
+    EXPECT_EQ(hier->l2().misses().value(), 1u);
+    EXPECT_EQ(hier->stats().mshrJoins.value(), 1u);
+    EXPECT_EQ(hier->stats().loads.value(), 4u);
+    EXPECT_EQ(hier->stats().demandMisses.value(), 1u);
+}
+
 TEST_F(HierarchyTest, EarlyWakeOnMatchingCriticalWord)
 {
     backend.fragmented = true;
