@@ -72,6 +72,44 @@ class Rng
         return uniform() < p;
     }
 
+    /**
+     * A chance(p) draw reduced to an integer compare, fixed once for a
+     * probability that does not change.  uniform() is x * 2^-53 for the
+     * 53-bit draw x, so uniform() < p holds exactly when
+     * x < ceil(p * 2^53): the same outcome from the same single draw.
+     */
+    class Threshold
+    {
+      public:
+        constexpr explicit Threshold(double p) : cut_(cutFor(p)) {}
+
+        /** Draws x = next() >> 11 below which chance() is true. */
+        constexpr std::uint64_t cut() const { return cut_; }
+
+      private:
+        static constexpr std::uint64_t
+        cutFor(double p)
+        {
+            if (!(p > 0)) // also NaN: uniform() < NaN is never true
+                return 0;
+            if (p >= 1)
+                return 1ULL << 53;
+            // Exact: scaling by a power of two keeps every mantissa bit.
+            const double scaled = p * 0x1.0p53;
+            const auto floor = static_cast<std::uint64_t>(scaled);
+            return static_cast<double>(floor) < scaled ? floor + 1 : floor;
+        }
+
+        std::uint64_t cut_;
+    };
+
+    /** chance(p) for the p that @p threshold was built from. */
+    bool
+    chance(Threshold threshold)
+    {
+        return (next() >> 11) < threshold.cut();
+    }
+
   private:
     static std::uint64_t
     rotl(std::uint64_t x, int k)

@@ -18,95 +18,50 @@ StreamPattern::StreamPattern(Addr base, std::uint64_t window_bytes,
                "stream stride must be a positive word multiple");
 }
 
-Addr
-StreamPattern::next(Rng &rng)
-{
-    (void)rng;
-    const Addr addr = base_ + pos_;
-    pos_ += stride_;
-    if (pos_ >= window_)
-        pos_ -= window_;
-    return addr;
-}
-
 PointerChasePattern::PointerChasePattern(
     Addr base, std::uint64_t window_bytes,
     const std::array<double, kWordsPerLine> &word_dist)
-    : base_(base), windowLines_(window_bytes / kLineBytes)
+    : base_(base), windowLines_(window_bytes / kLineBytes),
+      hotLines_(std::max<std::uint64_t>(
+          1, static_cast<std::uint64_t>(windowLines_ * kHotPageFraction)))
 {
     sim_assert(windowLines_ > 0, "chase window below one line");
+    std::array<double, kWordsPerLine> cum_dist;
     double cum = 0;
     for (unsigned w = 0; w < kWordsPerLine; ++w) {
         sim_assert(word_dist[w] >= 0, "negative word weight");
         cum += word_dist[w];
-        cumDist_[w] = cum;
+        cum_dist[w] = cum;
     }
     sim_assert(cum > 0, "word distribution sums to zero");
-    for (auto &c : cumDist_)
-        c /= cum;
+    for (unsigned w = 0; w < kWordsPerLine; ++w)
+        cumCut_[w] = Rng::Threshold(cum_dist[w] / cum).cut();
 }
 
-unsigned
-PointerChasePattern::wordFromUniform(double u) const
+double
+MixPattern::accumulate(double weight)
 {
-    for (unsigned w = 0; w < kWordsPerLine; ++w) {
-        if (u < cumDist_[w])
-            return w;
-    }
-    return kWordsPerLine - 1;
-}
-
-unsigned
-PointerChasePattern::stableWordOf(std::uint64_t line_index) const
-{
-    // splitmix64 finaliser: a uniform deterministic draw per line, so a
-    // line's hot word is fixed for the whole run (critical word
-    // regularity, paper Fig. 3).
-    std::uint64_t z = line_index + 0x9e3779b97f4a7c15ULL;
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-    z = z ^ (z >> 31);
-    const double u = static_cast<double>(z >> 11) * 0x1.0p-53;
-    return wordFromUniform(u);
-}
-
-Addr
-PointerChasePattern::next(Rng &rng)
-{
-    // Page-skewed line selection (see kHotPageFraction).
-    const std::uint64_t hot_lines = std::max<std::uint64_t>(
-        1, static_cast<std::uint64_t>(windowLines_ * kHotPageFraction));
-    const std::uint64_t line = rng.chance(kHotAccessFraction)
-                                   ? rng.below(hot_lines)
-                                   : rng.below(windowLines_);
-    const unsigned word = rng.chance(kWordJitter)
-                              ? wordFromUniform(rng.uniform())
-                              : stableWordOf(line);
-    return base_ + line * kLineBytes + word * kWordBytes;
+    sim_assert(weight > 0, "non-positive mix weight");
+    totalWeight_ += weight;
+    return totalWeight_;
 }
 
 void
-MixPattern::add(std::unique_ptr<AccessPattern> pattern, double weight)
+MixPattern::add(const StreamPattern &pattern, double weight)
 {
-    sim_assert(pattern, "null pattern in mix");
-    sim_assert(weight > 0, "non-positive mix weight");
-    totalWeight_ += weight;
-    parts_.push_back(Part{std::move(pattern), totalWeight_});
+    parts_.emplace_back(pattern, accumulate(weight));
 }
 
-Addr
-MixPattern::next(Rng &rng)
+void
+MixPattern::add(const PointerChasePattern &pattern, double weight)
 {
-    sim_assert(!parts_.empty(), "empty mix pattern");
-    const double u = rng.uniform() * totalWeight_;
-    for (auto &part : parts_) {
-        if (u < part.cumWeight) {
-            lastDependent_ = part.pattern->dependent();
-            return part.pattern->next(rng);
-        }
-    }
-    lastDependent_ = parts_.back().pattern->dependent();
-    return parts_.back().pattern->next(rng);
+    parts_.emplace_back(Kind::Chase, pattern, accumulate(weight));
+}
+
+void
+MixPattern::add(const RandomPattern &pattern, double weight)
+{
+    parts_.emplace_back(Kind::Random, pattern, accumulate(weight));
 }
 
 std::array<double, kWordsPerLine>

@@ -11,43 +11,30 @@ WorkloadGenerator::WorkloadGenerator(const BenchmarkProfile &profile,
                                      std::uint8_t core_id,
                                      std::uint64_t seed, Addr base_addr)
     : profile_(profile),
-      rng_(seed * 0x1000193ULL + core_id * 0x9e3779b97f4a7c15ULL + 1)
+      rng_(seed * 0x1000193ULL + core_id * 0x9e3779b97f4a7c15ULL + 1),
+      memChance_(profile.memFraction), writeChance_(profile.writeFraction)
 {
     sim_assert(!profile.patterns.empty(), profile.name,
                ": profile has no patterns");
     for (const auto &spec : profile.patterns) {
         switch (spec.kind) {
           case PatternSpec::Kind::Stream:
-            mix_.add(std::make_unique<StreamPattern>(
-                         base_addr, spec.windowBytes, spec.strideBytes,
-                         /*start_offset=*/0),
+            mix_.add(StreamPattern(base_addr, spec.windowBytes,
+                                   spec.strideBytes, /*start_offset=*/0),
                      spec.weight);
             break;
           case PatternSpec::Kind::Chase:
-            mix_.add(std::make_unique<PointerChasePattern>(
-                         base_addr, spec.windowBytes, spec.wordDist),
+            mix_.add(PointerChasePattern(base_addr, spec.windowBytes,
+                                         spec.wordDist),
                      spec.weight);
             break;
           case PatternSpec::Kind::Random:
-            mix_.add(std::make_unique<RandomPattern>(
-                         base_addr, spec.windowBytes, spec.wordDist),
+            mix_.add(RandomPattern(base_addr, spec.windowBytes,
+                                   spec.wordDist),
                      spec.weight);
             break;
         }
     }
-}
-
-MicroOp
-WorkloadGenerator::next()
-{
-    MicroOp op;
-    if (!rng_.chance(profile_.memFraction))
-        return op; // plain ALU op
-    op.isMem = true;
-    op.addr = mix_.next(rng_);
-    op.dependsOnPrev = mix_.dependent();
-    op.isWrite = rng_.chance(profile_.writeFraction);
-    return op;
 }
 
 namespace suite

@@ -52,7 +52,10 @@ struct BenchmarkProfile
     std::string notes;        ///< calibration rationale
 };
 
-/** Instantiates a profile as a deterministic per-core op stream. */
+/**
+ * Instantiates a profile as a deterministic per-core op stream.  next()
+ * is inline: a core calls it once per dispatched op.
+ */
 class WorkloadGenerator
 {
   public:
@@ -60,13 +63,27 @@ class WorkloadGenerator
                       std::uint8_t core_id, std::uint64_t seed,
                       Addr base_addr);
 
-    MicroOp next();
+    MicroOp
+    next()
+    {
+        MicroOp op;
+        if (!rng_.chance(memChance_))
+            return op; // plain ALU op
+        op.isMem = true;
+        op.addr = mix_.next(rng_);
+        op.dependsOnPrev = mix_.dependent();
+        op.isWrite = rng_.chance(writeChance_);
+        return op;
+    }
 
     const BenchmarkProfile &profile() const { return profile_; }
 
   private:
     const BenchmarkProfile &profile_;
     Rng rng_;
+    /** The profile's memFraction and writeFraction as draw thresholds. */
+    Rng::Threshold memChance_;
+    Rng::Threshold writeChance_;
     MixPattern mix_;
 };
 
