@@ -38,7 +38,7 @@ Core::tick(Tick now)
         if (!head.ready || head.readyAt > now)
             break;
         head.valid = false;
-        head_ = (head_ + 1) % params_.robSize;
+        head_ = nextSlot(head_);
         count_ -= 1;
         retired_ += 1;
     }
@@ -50,10 +50,11 @@ Core::tick(Tick now)
             break;
         }
         const workloads::MicroOp op =
-            pendingOp_ ? *pendingOp_ : source_();
+            hasPendingOp_ ? pendingOp_ : source_();
 
         if (op.isMem && op.dependsOnPrev && lastLoadPending(now)) {
             pendingOp_ = op;
+            hasPendingOp_ = true;
             dispatchStalls_ += 1;
             break;
         }
@@ -71,6 +72,7 @@ Core::tick(Tick now)
                 hierarchy_.store(id_, op.addr, now);
             if (res.outcome == cache::Hierarchy::Outcome::Blocked) {
                 pendingOp_ = op;
+                hasPendingOp_ = true;
                 dispatchStalls_ += 1;
                 break;
             }
@@ -81,6 +83,7 @@ Core::tick(Tick now)
                 hierarchy_.load(id_, slot, op.addr, now);
             if (res.outcome == cache::Hierarchy::Outcome::Blocked) {
                 pendingOp_ = op;
+                hasPendingOp_ = true;
                 dispatchStalls_ += 1;
                 break;
             }
@@ -97,9 +100,9 @@ Core::tick(Tick now)
         }
 
         rob_[tail_] = entry;
-        tail_ = (tail_ + 1) % params_.robSize;
+        tail_ = nextSlot(tail_);
         count_ += 1;
-        pendingOp_.reset();
+        hasPendingOp_ = false;
     }
 
     robOccupancySum_ += count_;

@@ -21,12 +21,13 @@
 #include <cstdint>
 #include <functional>
 #include <optional>
+#include <type_traits>
 #include <vector>
 
 #include "cache/hierarchy.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
-#include "workloads/pattern.hh"
+#include "workloads/suite.hh"
 
 namespace hetsim::cpu
 {
@@ -40,9 +41,45 @@ class Core
         unsigned width = 4;    // Table 1
     };
 
-    /** Source of the core's instruction stream (a workload generator
-     *  in the full system; a scripted queue in tests). */
-    using OpSource = std::function<workloads::MicroOp()>;
+    /**
+     * Source of the core's instruction stream, called once per
+     * dispatched op.  A suite run hands the core its workload generator
+     * by value, and the core calls the generator's inline next()
+     * directly.  Traces and scripted tests pass any callable that
+     * returns a MicroOp; it is called through a std::function.
+     * Move-only.
+     */
+    class OpSource
+    {
+      public:
+        OpSource(workloads::WorkloadGenerator generator)
+            : generator_(std::move(generator))
+        {
+        }
+
+        template <typename F>
+            requires(!std::is_same_v<std::decay_t<F>, OpSource> &&
+                     std::is_invocable_r_v<workloads::MicroOp, F &>)
+        OpSource(F &&fn) : fn_(std::forward<F>(fn))
+        {
+        }
+
+        OpSource(OpSource &&) = default;
+
+        workloads::MicroOp
+        operator()()
+        {
+            if (generator_) [[likely]]
+                return generator_->next();
+            return fn_();
+        }
+
+        explicit operator bool() const { return generator_ || fn_; }
+
+      private:
+        std::optional<workloads::WorkloadGenerator> generator_;
+        std::function<workloads::MicroOp()> fn_;
+    };
 
     Core(std::uint8_t id, const Params &params, OpSource source,
          cache::Hierarchy &hierarchy);
@@ -106,6 +143,12 @@ class Core
     };
 
     bool robFull() const { return count_ == params_.robSize; }
+    /** The ROB slot after @p slot, wrapping at robSize. */
+    unsigned
+    nextSlot(unsigned slot) const
+    {
+        return slot + 1 == params_.robSize ? 0 : slot + 1;
+    }
     bool lastLoadPending(Tick now) const;
     CpiBucket stallBucket() const;
 
@@ -121,8 +164,9 @@ class Core
     std::uint64_t seqCounter_ = 0;
 
     /** Micro-op that could not dispatch (Blocked / dependence) and must
-     *  be retried before fetching new work. */
-    std::optional<workloads::MicroOp> pendingOp_;
+     *  be retried before fetching new work; valid while hasPendingOp_. */
+    workloads::MicroOp pendingOp_;
+    bool hasPendingOp_ = false;
 
     int lastLoadSlot_ = -1;
     std::uint64_t lastLoadSeq_ = 0;

@@ -16,11 +16,8 @@ System::System(const SystemParams &params,
     : System(
           params, profile.name, active_cores,
           [&profile, seed = params.seed](std::uint8_t core, Addr base) {
-              // Shared because OpSource must be copyable and the
-              // generator is move-only.
-              auto gen = std::make_shared<workloads::WorkloadGenerator>(
-                  profile, core, seed + 17 * core, base);
-              return cpu::Core::OpSource([gen] { return gen->next(); });
+              return cpu::Core::OpSource(workloads::WorkloadGenerator(
+                  profile, core, seed + 17 * core, base));
           },
           std::move(backend))
 {
