@@ -1,5 +1,7 @@
 #include "cache/cache.hh"
 
+#include <bit>
+
 #include "common/log.hh"
 
 namespace hetsim::cache
@@ -10,45 +12,24 @@ Cache::Cache(const Params &params) : params_(params)
     sim_assert(params_.ways > 0, "cache needs at least one way");
     sim_assert(params_.sizeBytes % (kLineBytes * params_.ways) == 0,
                params_.name, ": size not divisible by way size");
-    sets_ = static_cast<unsigned>(params_.sizeBytes /
-                                  (kLineBytes * params_.ways));
-    sim_assert(sets_ > 0, params_.name, ": zero sets");
-    lines_.resize(static_cast<std::size_t>(sets_) * params_.ways);
-}
-
-Cache::Line *
-Cache::findLine(Addr line_addr)
-{
-    const std::uint64_t index = line_addr >> kLineShift;
-    const unsigned set = static_cast<unsigned>(index % sets_);
-    const std::uint64_t tag = index / sets_;
-    Line *base = &lines_[static_cast<std::size_t>(set) * params_.ways];
-    for (unsigned w = 0; w < params_.ways; ++w) {
-        if (base[w].valid && base[w].tag == tag)
-            return &base[w];
+    const std::uint64_t sets = params_.sizeBytes /
+                               (kLineBytes * params_.ways);
+    // Sets are indexed by mask and shift, never by division.
+    if (!std::has_single_bit(sets)) {
+        fatal("cache '", params_.name, "' (", params_.sizeBytes, " B, ",
+              params_.ways, " ways) has ", sets,
+              " sets; the set count must be a power of two");
     }
-    return nullptr;
+    sets_ = static_cast<unsigned>(sets);
+    setBits_ = static_cast<unsigned>(std::countr_zero(sets));
+    setMask_ = sets - 1;
+    lines_.resize(static_cast<std::size_t>(sets_) * params_.ways);
 }
 
 const Cache::Line *
 Cache::findLine(Addr line_addr) const
 {
     return const_cast<Cache *>(this)->findLine(line_addr);
-}
-
-bool
-Cache::access(Addr line_addr, bool mark_dirty)
-{
-    Line *line = findLine(line_addr);
-    if (!line) {
-        misses_.inc();
-        return false;
-    }
-    hits_.inc();
-    line->lru = ++lruClock_;
-    if (mark_dirty)
-        line->dirty = true;
-    return true;
 }
 
 bool
@@ -62,10 +43,7 @@ Cache::fill(Addr line_addr, bool dirty)
 {
     sim_assert(!probe(line_addr), params_.name,
                ": fill of already-present line");
-    const std::uint64_t index = line_addr >> kLineShift;
-    const unsigned set = static_cast<unsigned>(index % sets_);
-    const std::uint64_t tag = index / sets_;
-    Line *base = &lines_[static_cast<std::size_t>(set) * params_.ways];
+    Line *base = setOf(line_addr);
 
     Line *victim = &base[0];
     for (unsigned w = 0; w < params_.ways; ++w) {
@@ -81,12 +59,13 @@ Cache::fill(Addr line_addr, bool dirty)
     if (victim->valid) {
         ev.valid = true;
         // Reconstruct the victim's address from tag and set.
-        ev.lineAddr = (victim->tag * sets_ + set) << kLineShift;
+        const std::uint64_t set = (line_addr >> kLineShift) & setMask_;
+        ev.lineAddr = ((victim->tag << setBits_) | set) << kLineShift;
         ev.dirty = victim->dirty;
     }
     victim->valid = true;
     victim->dirty = dirty;
-    victim->tag = tag;
+    victim->tag = tagOf(line_addr);
     victim->lru = ++lruClock_;
     return ev;
 }

@@ -42,7 +42,32 @@ class Cache
     explicit Cache(const Params &params);
 
     /** Look up a line; on hit, update LRU and optionally set dirty. */
-    bool access(Addr line_addr, bool mark_dirty);
+    bool
+    access(Addr line_addr, bool mark_dirty)
+    {
+        if (hit(line_addr, mark_dirty))
+            return true;
+        countMiss();
+        return false;
+    }
+
+    /** access() that leaves a miss uncounted, for a caller that learns
+     *  only later whether the access is one (see countMiss()). */
+    bool
+    hit(Addr line_addr, bool mark_dirty)
+    {
+        Line *line = findLine(line_addr);
+        if (!line)
+            return false;
+        hits_.inc();
+        line->lru = ++lruClock_;
+        if (mark_dirty)
+            line->dirty = true;
+        return true;
+    }
+
+    /** Count one miss of an access begun with hit(). */
+    void countMiss() { misses_.inc(); }
 
     /** Tag-only lookup with no LRU side effects. */
     bool probe(Addr line_addr) const;
@@ -75,11 +100,40 @@ class Cache
         bool dirty = false;
     };
 
-    Line *findLine(Addr line_addr);
+    /** First way of @p line_addr's set. */
+    Line *
+    setOf(Addr line_addr)
+    {
+        const std::uint64_t index = line_addr >> kLineShift;
+        return &lines_[static_cast<std::size_t>(index & setMask_) *
+                       params_.ways];
+    }
+
+    /** Tag of @p line_addr (the line index above the set bits). */
+    std::uint64_t
+    tagOf(Addr line_addr) const
+    {
+        return line_addr >> (kLineShift + setBits_);
+    }
+
+    Line *
+    findLine(Addr line_addr)
+    {
+        const std::uint64_t tag = tagOf(line_addr);
+        Line *base = setOf(line_addr);
+        for (unsigned w = 0; w < params_.ways; ++w) {
+            if (base[w].valid && base[w].tag == tag)
+                return &base[w];
+        }
+        return nullptr;
+    }
+
     const Line *findLine(Addr line_addr) const;
 
     Params params_;
-    unsigned sets_;
+    unsigned sets_;    ///< a power of two
+    unsigned setBits_; ///< log2(sets_)
+    std::uint64_t setMask_;
     std::vector<Line> lines_;
     std::uint64_t lruClock_ = 0;
 

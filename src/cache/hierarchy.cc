@@ -51,7 +51,21 @@ Hierarchy::accessImpl(std::uint8_t core, std::uint16_t slot, Addr addr,
                            0, word);
     }
 
-    // 1. A fill for this line is already in flight: merge into the MSHR.
+    // 1. Private L1.  By L2 inclusion an L1-resident line has no MSHR:
+    //    MSHRs are allocated only for lines absent from L2, and a fill
+    //    installs its line and releases its MSHR in one step.  So a hit
+    //    needs no MSHR probe; a miss is counted once step 2 rules out a
+    //    join, which never touched the L1.
+    Cache &l1 = *l1s_[core];
+    if (l1.hit(line, is_store)) {
+        check::onL1Hit(line, core, now,
+                       [&] { return mshrs_.find(line) != nullptr; });
+        stats_.lookupLatencyHist.sample(
+            static_cast<double>(params_.l1Latency));
+        return {Outcome::Ready, now + params_.l1Latency, HitLevel::L1};
+    }
+
+    // 2. A fill for this line is already in flight: merge into the MSHR.
     if (MshrEntry *entry = mshrs_.find(line)) {
         entry->demandJoined = true;
         if (word != entry->requestedWord &&
@@ -78,12 +92,7 @@ Hierarchy::accessImpl(std::uint8_t core, std::uint16_t slot, Addr addr,
                 entry->fastArrived};
     }
 
-    // 2. Private L1.
-    if (l1s_[core]->access(line, is_store)) {
-        stats_.lookupLatencyHist.sample(
-            static_cast<double>(params_.l1Latency));
-        return {Outcome::Ready, now + params_.l1Latency, HitLevel::L1};
-    }
+    l1.countMiss();
 
     // 3. Shared L2 (inclusive).
     if (l2_.access(line, /*mark_dirty=*/false)) {

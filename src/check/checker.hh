@@ -19,8 +19,9 @@
  *     completes before its fast fragment, fast-word lead is
  *     non-negative, SECDED fires exactly once per completed CWF line,
  *     fragments never duplicate, HMC critical packets are delivered
- *     strictly before their bulk packet, and every MSHR allocation is
- *     eventually drained (leak detection via finalizeAll()).
+ *     strictly before their bulk packet, no L1 hit lands on a line with
+ *     a live MSHR, and every MSHR allocation is eventually drained (leak
+ *     detection via finalizeAll()).
  *
  * Cost model mirrors common/trace.hh: when checking is disabled (the
  * default) every hook is a single load+branch on a global flag.  Enable
@@ -82,6 +83,7 @@ enum class Rule : std::uint8_t {
     FastLead,        ///< line completed before fast fragment / negative lead
     HmcOrder,        ///< bulk packet delivered at/before its critical packet
     MshrLeak,        ///< MSHR entry never drained (finalizeAll)
+    L1HitMshr,       ///< L1 hit on a line with a live MSHR
     PhaseLedger,     ///< phase ledger does not partition [enqueue, complete]
     Fault,           ///< injected fault never resolved / double-resolved
 };
@@ -180,6 +182,10 @@ class Checker
                    Tick fast_tick, bool parity_ok);
     void lineComplete(std::uint64_t id, Tick at, bool has_fast,
                       bool fast_arrived, Tick fast_tick);
+
+    /** An L1 hit; @p mshr_live says the line also has an MSHR, which
+     *  L2 inclusion rules out (the hierarchy resolves L1 hits first). */
+    void l1Hit(Addr line, unsigned core, Tick at, bool mshr_live);
 
     // ---- latency-attribution phase ledger (stateless) ----
     void phaseLedger(const std::string &name, const dram::MemRequest &req);
@@ -396,6 +402,15 @@ onLineComplete(std::uint64_t id, Tick at, bool has_fast, bool fast_arrived,
 {
     HETSIM_CHECK_HOOK(lineComplete(id, at, has_fast, fast_arrived,
                                    fast_tick));
+}
+
+/** @p mshr_live is a callable, evaluated only while checking is on, so
+ *  the L1-hit path pays one branch for the MSHR probe it skips. */
+template <typename MshrLive>
+inline void
+onL1Hit(Addr line, unsigned core, Tick at, MshrLive &&mshr_live)
+{
+    HETSIM_CHECK_HOOK(l1Hit(line, core, at, mshr_live()));
 }
 
 inline void

@@ -151,6 +151,18 @@ TEST(Cache, Table1GeometriesConstruct)
     EXPECT_EQ(l2.sets(), 4u * 1024 * 1024 / (64 * 8));
 }
 
+TEST(CacheDeathTest, SetCountMustBePowerOfTwo)
+{
+    // 3 sets of 2 ways: indexing by mask and shift cannot reach set 2.
+    EXPECT_EXIT(Cache(Cache::Params{"l1.odd", 3 * 2 * kLineBytes, 2}),
+                ::testing::ExitedWithCode(1),
+                "cache 'l1.odd' \\(384 B, 2 ways\\) has 3 sets; the set "
+                "count must be a power of two");
+    // 48 KB / 4-way is 192 sets.
+    EXPECT_EXIT(Cache(Cache::Params{"l2", 48 * 1024, 4}),
+                ::testing::ExitedWithCode(1), "has 192 sets");
+}
+
 TEST(Cache, WorkingSetLargerThanCacheThrashes)
 {
     Cache c(tiny(4, 2)); // 8 lines

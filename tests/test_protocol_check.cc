@@ -179,6 +179,30 @@ TEST_F(ProtocolCheck, MshrLeakIsCaughtAtFinalize)
     EXPECT_EQ(checker().count(Rule::MshrLeak), 1u) << checker().report();
 }
 
+TEST_F(ProtocolCheck, L1HitOnLineWithLiveMshrIsCaught)
+{
+    checker().l1Hit(0x1000, 0, 100, /*mshr_live=*/false);
+    EXPECT_EQ(checker().count(Rule::L1HitMshr), 0u) << checker().report();
+    checker().l1Hit(0x2040, 3, 110, /*mshr_live=*/true);
+    ASSERT_EQ(checker().count(Rule::L1HitMshr), 1u) << checker().report();
+    EXPECT_EQ(checker().violations().back().where, "l1.3 line 0x2040");
+    // The inline hook evaluates the MSHR probe only while armed.
+    bool probed = false;
+    check::onL1Hit(0x3000, 0, 120, [&] {
+        probed = true;
+        return false;
+    });
+    EXPECT_TRUE(probed);
+    checker().disable();
+    probed = false;
+    check::onL1Hit(0x3000, 0, 130, [&] {
+        probed = true;
+        return true;
+    });
+    EXPECT_FALSE(probed);
+    EXPECT_EQ(checker().count(Rule::L1HitMshr), 1u);
+}
+
 TEST_F(ProtocolCheck, HmcBulkAtOrBeforeCriticalIsCaught)
 {
     checker().hmcDelivery(&chan_, 1, /*critical=*/true, 40);
