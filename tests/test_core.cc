@@ -2,8 +2,8 @@
  * @file
  * Core-model tests with a scripted op source and mock memory: dispatch
  * and retire width, ROB capacity stalls, load park/wake, dependent-load
- * serialisation (pointer chasing), blocked-access retry, and IPC
- * windowing.
+ * serialisation (pointer chasing, including a retired producer whose
+ * ROB slot was reused), blocked-access retry, and IPC windowing.
  */
 
 #include <gtest/gtest.h>
@@ -187,6 +187,29 @@ TEST_F(CoreTest, DependentLoadWaitsForPreviousData)
     backend.completeOldest(101);
     run(101, 120);
     EXPECT_TRUE(backend.pendingIds.empty());
+}
+
+TEST_F(CoreTest, DependentLoadIgnoresRetiredLoadsReusedSlot)
+{
+    // Warm the line, then stream: the load L hits in L1 and retires long
+    // before the store S, dispatched one ROB wrap later, reuses its slot.
+    // S is still in flight (L1 store latency) when the dependent load D
+    // behind it dispatches; D's producer L has retired, so D must not
+    // stall.
+    script.push_back(load(0x1000));
+    run(0, 10);
+    backend.completeOldest(11);
+    run(11, 30);
+    const std::uint64_t stalls_before = core->dispatchStalls();
+    script.push_back(load(0x1000));
+    for (unsigned i = 0; i + 1 < Core::Params{}.robSize; ++i)
+        script.push_back(alu());
+    script.push_back(store(0x1000));
+    script.push_back(load(0x2000, /*dependent=*/true));
+    run(31, 60);
+    EXPECT_TRUE(script.empty());
+    EXPECT_EQ(backend.pendingIds.size(), 1u) << "D's fill issued";
+    EXPECT_EQ(core->dispatchStalls(), stalls_before);
 }
 
 TEST_F(CoreTest, IndependentLoadsOverlap)
