@@ -11,7 +11,7 @@ void
 Bank::activate(Tick now, std::int64_t row, const DeviceParams &p)
 {
     sim_assert(canActivate(now), "ACTIVATE issued while bank not ready");
-    openRow = row;
+    open(row);
     activates += 1;
     nextColumn = std::max(nextColumn, now + p.ticks(p.tRCD));
     nextPrecharge = std::max(nextPrecharge, now + p.ticks(p.tRAS));
@@ -42,7 +42,7 @@ void
 Bank::precharge(Tick now, const DeviceParams &p)
 {
     sim_assert(isOpen() && canPrecharge(now), "PRECHARGE to unready bank");
-    openRow = kNoRow;
+    close();
     precharges += 1;
     nextActivate = std::max(nextActivate, now + p.ticks(p.tRP));
 }
@@ -62,13 +62,38 @@ Bank::compoundAccess(Tick now, const DeviceParams &p, bool is_write)
 }
 
 void
+Bank::autoPrecharge(Tick ready)
+{
+    sim_assert(isOpen(), "auto-precharge of a closed bank");
+    close();
+    precharges += 1;
+    nextActivate = std::max(nextActivate, ready);
+}
+
+void
 Bank::forceClose(Tick not_before, const DeviceParams &p)
 {
     if (isOpen()) {
-        openRow = kNoRow;
+        close();
         precharges += 1;
     }
     nextActivate = std::max(nextActivate, not_before + p.ticks(p.tRP));
+}
+
+void
+Bank::open(std::int64_t row)
+{
+    openRow = row;
+    if (openBanks_)
+        *openBanks_ += 1;
+}
+
+void
+Bank::close()
+{
+    openRow = kNoRow;
+    if (openBanks_)
+        *openBanks_ -= 1;
 }
 
 void

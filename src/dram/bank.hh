@@ -24,7 +24,9 @@ class Bank
   public:
     static constexpr std::int64_t kNoRow = -1;
 
-    /** Currently open row, or kNoRow when precharged. */
+    /** Currently open row, or kNoRow when precharged.  Written only by
+     *  the member functions below, which keep the owning rank's count of
+     *  open banks in step. */
     std::int64_t openRow = kNoRow;
 
     /** Earliest tick for the next ACTIVATE (covers tRC/tRP; also the
@@ -79,10 +81,23 @@ class Bank
      */
     void compoundAccess(Tick now, const DeviceParams &p, bool is_write);
 
+    /** Close the row by the column command's auto-precharge
+     *  (close-page policy); the next ACTIVATE waits until @p ready. */
+    void autoPrecharge(Tick ready);
+
     /** Forcibly close the row (refresh / power-down entry). */
     void forceClose(Tick not_before, const DeviceParams &p);
 
     void resetStats();
+
+  private:
+    friend class Rank;
+
+    void open(std::int64_t row);
+    void close();
+
+    /** The owning rank's open-bank count; null for a bank on its own. */
+    unsigned *openBanks_ = nullptr;
 };
 
 } // namespace hetsim::dram

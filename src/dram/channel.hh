@@ -117,7 +117,12 @@ class Channel
     void enqueue(MemRequest req, Tick now);
 
     /** Advance to @p now; acts only on memory-cycle boundaries. */
-    void tick(Tick now);
+    void
+    tick(Tick now)
+    {
+        if (now >= nextCycle_)
+            cycle(now);
+    }
 
     const DeviceParams &params() const { return params_; }
     const std::string &name() const { return name_; }
@@ -217,6 +222,15 @@ class Channel
     }
 
     // Implemented in channel.cc.
+    /** One memory cycle at @p now, or a skipped quiet one. */
+    void cycle(Tick now);
+    /** Earliest tick at which a cycle with nothing queued, in flight or
+     *  draining would change more than residency: a refresh falling
+     *  due, a running refresh ending, or an awake rank reaching its
+     *  power-down deadline. */
+    Tick quietHorizon(Tick now) const;
+    /** Charge the skipped quiet cycles to every rank's residency. */
+    void settleQuietCycles();
     void completeReads(Tick now);
     /** Emit the four ledger phases of a completed read as trace
      *  PhaseSpan records (no-op while tracing is off). */
@@ -236,6 +250,12 @@ class Channel
     AddrBusArbiter *sharedCmdBus_;
     Tick cycleTicks_;
     Tick nextCycle_ = 0;
+    /** Quiet cycles before this tick skip the cycle body (see cycle()). */
+    Tick quietUntil_ = 0;
+    /** Skipped quiet cycles not yet charged to rank residency, and the
+     *  tick of the first of them. */
+    std::uint64_t quietCycles_ = 0;
+    Tick quietSince_ = 0;
     unsigned chipsPerRank_;
 
     std::vector<Rank> ranks_;

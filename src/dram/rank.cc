@@ -11,6 +11,8 @@ Rank::Rank(const DeviceParams &params, unsigned index)
     : params_(params), index_(index)
 {
     banks.resize(params.banksPerRank);
+    for (auto &bank : banks)
+        bank.openBanks_ = openBanks_.get();
     if (params.tREFI > 0) {
         // Stagger refresh phases across ranks so the channel never loses
         // all ranks at once.
@@ -99,17 +101,17 @@ Rank::startRefresh(Tick now)
 }
 
 void
-Rank::accountCycle(Tick now, Tick cycle_ticks)
+Rank::accountCycle(Tick now, Tick ticks)
 {
-    activity_.windowTicks += cycle_ticks;
+    activity_.windowTicks += ticks;
     if (refreshing(now))
-        activity_.refreshTicks += cycle_ticks;
+        activity_.refreshTicks += ticks;
     else if (poweredDown_)
-        activity_.pdnTicks += cycle_ticks;
+        activity_.pdnTicks += ticks;
     else if (anyBankOpen())
-        activity_.actStbyTicks += cycle_ticks;
+        activity_.actStbyTicks += ticks;
     else
-        activity_.preStbyTicks += cycle_ticks;
+        activity_.preStbyTicks += ticks;
 }
 
 RankActivity
@@ -132,13 +134,6 @@ Rank::collectActivity(bool reset)
             bank.resetStats();
     }
     return snapshot;
-}
-
-bool
-Rank::anyBankOpen() const
-{
-    return std::any_of(banks.begin(), banks.end(),
-                       [](const Bank &b) { return b.isOpen(); });
 }
 
 } // namespace hetsim::dram

@@ -10,6 +10,7 @@
 
 #include <array>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "common/types.hh"
@@ -86,15 +87,16 @@ class Rank
     void startRefresh(Tick now);
 
     // ---- residency accounting ----
-    /** Account one memory cycle ending at @p now into the state buckets. */
-    void accountCycle(Tick now, Tick cycle_ticks);
+    /** Charge @p ticks (one memory cycle, or a run of cycles in which
+     *  the state did not change) to the bucket of the state at @p now. */
+    void accountCycle(Tick now, Tick ticks);
 
     /** Harvest (and optionally clear) the activity window. */
     RankActivity collectActivity(bool reset);
 
     std::uint64_t refreshes = 0;
 
-    bool anyBankOpen() const;
+    bool anyBankOpen() const { return *openBanks_ != 0; }
 
     unsigned index() const { return index_; }
 
@@ -110,6 +112,10 @@ class Rank
     Tick lastActivate_ = kTickNever;
 
     RankActivity activity_;
+
+    /** Banks holding an open row, kept by the banks themselves; held on
+     *  the heap so their pointer to it survives a move of the rank. */
+    std::unique_ptr<unsigned> openBanks_ = std::make_unique<unsigned>(0);
 };
 
 } // namespace hetsim::dram
