@@ -13,18 +13,13 @@ Core::Core(std::uint8_t id, const Params &params, OpSource source,
     sim_assert(params_.robSize > 0 && params_.width > 0,
                "core needs ROB entries and width");
     sim_assert(source_, "core needs an op source");
-    rob_.resize(params_.robSize);
+    readyAt_.resize(params_.robSize);
 }
 
 bool
 Core::lastLoadPending(Tick now) const
 {
-    if (lastLoadSlot_ < 0)
-        return false;
-    const RobEntry &e = rob_[static_cast<unsigned>(lastLoadSlot_)];
-    if (!e.valid || e.seq != lastLoadSeq_)
-        return false; // that load already retired
-    return !e.ready || e.readyAt > now;
+    return lastLoadSeq_ > retired_ && readyAt_[lastLoadSlot_] > now;
 }
 
 void
@@ -34,10 +29,8 @@ Core::tick(Tick now)
 
     // ---- retire ----
     for (unsigned w = 0; w < params_.width && count_ > 0; ++w) {
-        RobEntry &head = rob_[head_];
-        if (!head.ready || head.readyAt > now)
+        if (readyAt_[head_] > now)
             break;
-        head.valid = false;
         head_ = nextSlot(head_);
         count_ -= 1;
         retired_ += 1;
@@ -59,14 +52,9 @@ Core::tick(Tick now)
             break;
         }
 
-        const std::uint16_t slot = static_cast<std::uint16_t>(tail_);
-        RobEntry entry;
-        entry.valid = true;
-        entry.seq = ++seqCounter_;
-
+        Tick ready;
         if (!op.isMem) {
-            entry.ready = true;
-            entry.readyAt = now + 1;
+            ready = now + 1;
         } else if (op.isWrite) {
             const cache::Hierarchy::AccessResult res =
                 hierarchy_.store(id_, op.addr, now);
@@ -76,30 +64,25 @@ Core::tick(Tick now)
                 dispatchStalls_ += 1;
                 break;
             }
-            entry.ready = true;
-            entry.readyAt = res.readyAt;
+            ready = res.readyAt;
         } else {
-            const cache::Hierarchy::AccessResult res =
-                hierarchy_.load(id_, slot, op.addr, now);
+            const cache::Hierarchy::AccessResult res = hierarchy_.load(
+                id_, static_cast<std::uint16_t>(tail_), op.addr, now);
             if (res.outcome == cache::Hierarchy::Outcome::Blocked) {
                 pendingOp_ = op;
                 hasPendingOp_ = true;
                 dispatchStalls_ += 1;
                 break;
             }
-            entry.isLoad = true;
-            if (res.outcome == cache::Hierarchy::Outcome::Ready) {
-                entry.ready = true;
-                entry.readyAt = res.readyAt;
-            } else {
-                entry.ready = false;
-                entry.bulkWait = res.bulkWait;
-            }
-            lastLoadSlot_ = static_cast<int>(slot);
-            lastLoadSeq_ = entry.seq;
+            if (res.outcome == cache::Hierarchy::Outcome::Ready)
+                ready = res.readyAt;
+            else
+                ready = res.bulkWait ? kParkedBulk : kParked;
+            lastLoadSlot_ = tail_;
+            lastLoadSeq_ = retired_ + count_ + 1;
         }
 
-        rob_[tail_] = entry;
+        readyAt_[tail_] = ready;
         tail_ = nextSlot(tail_);
         count_ += 1;
         hasPendingOp_ = false;
@@ -119,30 +102,28 @@ Core::stallBucket() const
     // Classified from the post-dispatch ROB state alone.
     if (count_ == 0)
         return CpiBucket::DispatchStall;
-    const RobEntry &head = rob_[head_];
-    if (!head.ready && head.isLoad)
-        return head.bulkWait ? CpiBucket::BulkWait : CpiBucket::CritWait;
-    if (!head.ready)
-        return CpiBucket::DispatchStall;
+    if (readyAt_[head_] == kParked)
+        return CpiBucket::CritWait;
+    if (readyAt_[head_] == kParkedBulk)
+        return CpiBucket::BulkWait;
     return robFull() ? CpiBucket::RobFull : CpiBucket::DispatchStall;
 }
 
 void
 Core::wake(std::uint16_t slot, Tick now)
 {
-    RobEntry &entry = rob_[slot];
-    sim_assert(entry.valid && entry.isLoad && !entry.ready,
-               "wake of slot ", slot, " in unexpected state");
-    entry.ready = true;
-    entry.readyAt = now;
+    // Only a parked load holds a parked tick: a retired or free slot
+    // holds a reached one.
+    sim_assert(readyAt_[slot] >= kParkedBulk, "wake of slot ", slot,
+               " in unexpected state");
+    readyAt_[slot] = now;
 }
 
 void
 Core::markBulkWait(std::uint16_t slot)
 {
-    RobEntry &entry = rob_[slot];
-    if (entry.valid && entry.isLoad && !entry.ready)
-        entry.bulkWait = true;
+    if (readyAt_[slot] == kParked)
+        readyAt_[slot] = kParkedBulk;
 }
 
 void

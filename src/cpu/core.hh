@@ -131,16 +131,11 @@ class Core
     void registerStats(StatRegistry &registry) const;
 
   private:
-    struct RobEntry
-    {
-        bool valid = false;
-        bool ready = false;
-        Tick readyAt = 0;
-        bool isLoad = false;
-        /** Parked load that only the bulk fragment can wake. */
-        bool bulkWait = false;
-        std::uint64_t seq = 0;
-    };
+    /** Ready ticks of a parked load: waiting for its critical word, or
+     *  (bulk) for the bulk fragment only.  Both compare above any tick,
+     *  so a parked ROB head never retires. */
+    static constexpr Tick kParked = kTickNever;
+    static constexpr Tick kParkedBulk = kTickNever - 1;
 
     bool robFull() const { return count_ == params_.robSize; }
     /** The ROB slot after @p slot, wrapping at robSize. */
@@ -157,18 +152,22 @@ class Core
     OpSource source_;
     cache::Hierarchy &hierarchy_;
 
-    std::vector<RobEntry> rob_;
+    /** The ROB: a ring of ready ticks, one per slot; entries retire in
+     *  order from head_ once their tick is reached. */
+    std::vector<Tick> readyAt_;
     unsigned head_ = 0;
     unsigned tail_ = 0;
     unsigned count_ = 0;
-    std::uint64_t seqCounter_ = 0;
 
     /** Micro-op that could not dispatch (Blocked / dependence) and must
      *  be retried before fetching new work; valid while hasPendingOp_. */
     workloads::MicroOp pendingOp_;
     bool hasPendingOp_ = false;
 
-    int lastLoadSlot_ = -1;
+    /** Slot and 1-based dispatch number of the youngest load; it is
+     *  still in the ROB while lastLoadSeq_ > retired_ (in-order
+     *  retirement), so a reused slot is never mistaken for it. */
+    unsigned lastLoadSlot_ = 0;
     std::uint64_t lastLoadSeq_ = 0;
 
     std::uint64_t retired_ = 0;
