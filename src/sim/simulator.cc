@@ -14,8 +14,10 @@ namespace
  * Tick until @p target_reads more demand fills complete or @p max_ticks
  * pass.  With @p every > 0, append a WindowSample to @p windows each
  * time the completed count crosses the next multiple of @p every.
+ * Returns the demand fills completed: fewer than @p target_reads means
+ * the phase stopped at its tick cap.
  */
-void
+std::uint64_t
 runPhase(System &system, std::uint64_t target_reads, Tick max_ticks,
          std::uint64_t every, std::vector<WindowSample> *windows)
 {
@@ -33,6 +35,7 @@ runPhase(System &system, std::uint64_t target_reads, Tick max_ticks,
             next_sample += every;
         }
     }
+    return done;
 }
 
 } // namespace
@@ -46,8 +49,10 @@ runSimulation(System &system, const RunConfig &config)
 
     // ---- measurement ----
     RunResult r;
-    runPhase(system, config.measureReads, config.maxMeasureTicks,
-             config.statsWindowEvery, &r.windows);
+    r.readsAchieved =
+        runPhase(system, config.measureReads, config.maxMeasureTicks,
+                 config.statsWindowEvery, &r.windows);
+    r.capped = r.readsAchieved < config.measureReads;
     const Tick now = system.now();
     r.windowTicks = now - system.windowStart();
     r.seconds = static_cast<double>(r.windowTicks) * dram::kTickNs * 1e-9;

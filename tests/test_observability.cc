@@ -360,6 +360,13 @@ TEST(JsonReportTest, DocumentIsValidAndEnumeratesEveryGroup)
     EXPECT_NE(doc.find("\"agg_ipc\""), std::string::npos);
     EXPECT_NE(doc.find("\"fast_lead_p50_ticks\""), std::string::npos);
     EXPECT_NE(doc.find("\"completed_reads\""), std::string::npos);
+    // A window that reached its quantum says so.
+    EXPECT_FALSE(result.capped);
+    EXPECT_GE(result.readsAchieved, rc.measureReads);
+    EXPECT_NE(doc.find("\"reads_achieved\":" +
+                       std::to_string(result.readsAchieved)),
+              std::string::npos);
+    EXPECT_NE(doc.find("\"capped\":false"), std::string::npos);
     ASSERT_FALSE(result.windows.empty());
     for (std::size_t i = 1; i < result.windows.size(); ++i) {
         EXPECT_GT(result.windows[i].completedReads,
@@ -393,6 +400,8 @@ TEST(JsonReportTest, PercentilesAgreeWithHierarchyHistogram)
     const std::string text = renderReport(system, result);
     EXPECT_NE(text.find("components"), std::string::npos);
     EXPECT_NE(text.find("cache/hierarchy."), std::string::npos);
+    EXPECT_NE(text.find("run.capped"), std::string::npos);
+    EXPECT_NE(text.find("run.reads_achieved"), std::string::npos);
 }
 
 } // namespace
