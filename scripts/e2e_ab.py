@@ -1,15 +1,18 @@
 #!/usr/bin/env python3
 """Interleaved A/B of two e2e_bench binaries: a base build and a head build.
 
-    python3 scripts/e2e_ab.py [--full] [--pairs N] BASE_BIN HEAD_BIN
+    python3 scripts/e2e_ab.py [--full] [--pairs N] [--workload NAME]
+                              BASE_BIN HEAD_BIN
 
 Runs N interleaved pairs (default 5) of BASE and HEAD, alternating
 which side runs first, each as
 `e2e_bench --workload all --smoke --trace 0 --seconds 1 --seed 12345`;
-`--full` drops `--smoke`, so every run has the default quantum.  Prints,
-per workload, the median over pairs of the HEAD/base ratio of each
-end-to-end metric, in how many pairs HEAD's cpu_s was lower, and
-whether its sim_digest was equal in every pair.
+`--full` drops `--smoke`, so every run has the default quantum, and
+`--workload` passes a workload name or comma list in place of `all`.
+Prints, per workload, the median over pairs of the HEAD/base ratio of
+each end-to-end metric, the cpu_s ratio of every pair (so the spread
+shows), in how many pairs HEAD's cpu_s was lower, and whether its
+sim_digest was equal in every pair.
 Fails when a run fails, when any workload's sim_digest differs between
 the two builds, or when the median HEAD/base `cpu_s` ratio exceeds 1.25
 (BENCHMARK.json's cpu_s bound) for any workload.  A ratio taken within
@@ -22,18 +25,17 @@ import statistics
 import subprocess
 import sys
 
-ARGS = ["--workload", "all", "--trace", "0", "--seconds", "1",
-        "--seed", "12345"]
+ARGS = ["--trace", "0", "--seconds", "1", "--seed", "12345"]
 BOUND = 1.25
 # BENCHMARK.json's end-to-end metrics, with the direction that is better.
 METRICS = [("cpu_s", "lower"), ("sim_minst_per_cpu_s", "higher"),
            ("setup_s", "lower"), ("peak_rss_mb", "lower")]
 
 
-def run(binary, smoke):
+def run(binary, workload, smoke):
     """(digests, metrics) of one invocation: {workload: hex} and
     {workload: {metric: value}}."""
-    args = ARGS + (["--smoke"] if smoke else [])
+    args = ["--workload", workload] + ARGS + (["--smoke"] if smoke else [])
     proc = subprocess.run([binary] + args, capture_output=True, text=True)
     if proc.returncode:
         sys.exit(f"{binary} failed ({proc.returncode}):\n{proc.stderr}")
@@ -62,6 +64,9 @@ def main():
                         help="run the default quantum instead of --smoke")
     parser.add_argument("--pairs", type=int, default=5,
                         help="interleaved BASE/HEAD pairs (default 5)")
+    parser.add_argument("--workload", default="all",
+                        help="e2e_bench workload name or comma list "
+                             "(default all)")
     opt = parser.parse_args()
     if opt.pairs < 1:
         parser.error("--pairs must be at least 1")
@@ -70,11 +75,15 @@ def main():
     digest_equal = {}  # {workload: pairs with equal sim_digest}
     for pair in range(opt.pairs):
         if pair % 2:
-            head_digests, head_metrics = run(opt.head, not opt.full)
-            base_digests, base_metrics = run(opt.base, not opt.full)
+            head_digests, head_metrics = run(opt.head, opt.workload,
+                                             not opt.full)
+            base_digests, base_metrics = run(opt.base, opt.workload,
+                                             not opt.full)
         else:
-            base_digests, base_metrics = run(opt.base, not opt.full)
-            head_digests, head_metrics = run(opt.head, not opt.full)
+            base_digests, base_metrics = run(opt.base, opt.workload,
+                                             not opt.full)
+            head_digests, head_metrics = run(opt.head, opt.workload,
+                                             not opt.full)
         if not base_digests or set(base_digests) != set(head_digests):
             sys.exit(f"sim_digest workloads differ: base {base_digests} "
                      f"head {head_digests}")
@@ -97,9 +106,10 @@ def main():
         wins = sum(r < 1 for r in per_metric["cpu_s"])
         ok = cpu <= BOUND
         failed |= not ok
-        print(f"{workload}: {', '.join(cells)}; HEAD cpu_s lower in "
-              f"{wins} of {opt.pairs} pairs; cpu_s bound {BOUND} "
-              f"{'ok' if ok else 'FAIL'}")
+        pairs = " ".join(f"{r:.3f}" for r in per_metric["cpu_s"])
+        print(f"{workload}: {', '.join(cells)}; cpu_s per pair [{pairs}]; "
+              f"HEAD cpu_s lower in {wins} of {opt.pairs} pairs; cpu_s "
+              f"bound {BOUND} {'ok' if ok else 'FAIL'}")
     for workload, equal in sorted(digest_equal.items()):
         same = equal == opt.pairs
         failed |= not same
