@@ -27,19 +27,6 @@ envFlag(const char *name, bool fallback)
     fatal(name, ": expected 0|1|false|true|off|on, got '", v, "'");
 }
 
-double
-envRate(const char *name, double fallback)
-{
-    const char *v = std::getenv(name);
-    if (!v || !*v)
-        return fallback;
-    char *end = nullptr;
-    const double parsed = std::strtod(v, &end);
-    if (end == v || *end || !(parsed >= 0.0 && parsed <= 1.0))
-        fatal(name, ": expected a rate in [0,1], got '", v, "'");
-    return parsed;
-}
-
 std::uint64_t
 envU64(const char *name, std::uint64_t fallback, std::uint64_t min)
 {

@@ -19,9 +19,6 @@ namespace hetsim
  *  when unset. */
 bool envFlag(const char *name, bool fallback);
 
-/** @p name as a probability in [0,1], or @p fallback when unset. */
-double envRate(const char *name, double fallback);
-
 /** @p name as a base-10 unsigned integer no smaller than @p min, or
  *  @p fallback when unset. */
 std::uint64_t envU64(const char *name, std::uint64_t fallback,

@@ -1,14 +1,8 @@
 #include "fault/fault_model.hh"
 
-#include <algorithm>
-#include <cstdlib>
-#include <cstring>
 #include <ostream>
-#include <sstream>
-#include <string>
 
 #include "check/checker.hh"
-#include "common/env.hh"
 #include "common/log.hh"
 #include "ecc/chipkill.hh"
 #include "ecc/parity.hh"
@@ -96,50 +90,6 @@ FaultParams::nonDefault() const
            retryBackoffTicks != def.retryBackoffTicks ||
            degradeThreshold != def.degradeThreshold ||
            slowEcc != def.slowEcc || seed != def.seed;
-}
-
-FaultParams
-FaultParams::fromEnv(const FaultParams &base)
-{
-    FaultParams p = base;
-    p.transientBer = envRate("HETSIM_FAULT_TRANSIENT", p.transientBer);
-    p.doubleBer = envRate("HETSIM_FAULT_DOUBLE", p.doubleBer);
-    p.stuckCellRate = envRate("HETSIM_FAULT_STUCK", p.stuckCellRate);
-    p.rowFaultRate = envRate("HETSIM_FAULT_ROW", p.rowFaultRate);
-    p.busErrorRate = envRate("HETSIM_FAULT_BUS", p.busErrorRate);
-    if (const char *scope = std::getenv("HETSIM_FAULT_SCOPE");
-        scope && *scope) {
-        p.scopeFast = p.scopeSlow = p.scopeHmc = false;
-        std::stringstream ss(scope);
-        std::string tok;
-        while (std::getline(ss, tok, ',')) {
-            bool *flag = tok == "fast"   ? &p.scopeFast
-                         : tok == "slow" ? &p.scopeSlow
-                         : tok == "hmc"  ? &p.scopeHmc
-                                         : nullptr;
-            if (!flag)
-                fatal("HETSIM_FAULT_SCOPE: expected a comma-separated "
-                      "subset of fast,slow,hmc, got '", scope, "'");
-            *flag = true;
-        }
-    }
-    p.maxRetries =
-        static_cast<unsigned>(envU64("HETSIM_FAULT_RETRIES", p.maxRetries));
-    p.retryBackoffTicks =
-        envU64("HETSIM_FAULT_BACKOFF", p.retryBackoffTicks);
-    p.degradeThreshold = static_cast<unsigned>(
-        envU64("HETSIM_FAULT_DEGRADE_THRESHOLD", p.degradeThreshold));
-    if (const char *ecc = std::getenv("HETSIM_FAULT_ECC"); ecc && *ecc) {
-        if (!std::strcmp(ecc, "secded"))
-            p.slowEcc = SlowEccKind::Secded;
-        else if (!std::strcmp(ecc, "chipkill"))
-            p.slowEcc = SlowEccKind::Chipkill;
-        else
-            fatal("HETSIM_FAULT_ECC: expected secded|chipkill, got '",
-                  ecc, "'");
-    }
-    p.seed = envU64("HETSIM_FAULT_SEED", p.seed);
-    return p;
 }
 
 void

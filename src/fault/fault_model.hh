@@ -82,9 +82,9 @@ enum class Resolution : std::uint8_t {
 const char *toString(Resolution res);
 
 /**
- * All fault knobs.  Overridable from the environment (HETSIM_FAULT_*,
- * see fromEnv) and folded into SystemParams::cacheKey() whenever any
- * knob differs from the defaults.
+ * All fault knobs, set through SystemParams::fault and folded into
+ * SystemParams::cacheKey() whenever any knob differs from the
+ * defaults.
  */
 struct FaultParams
 {
@@ -117,14 +117,6 @@ struct FaultParams
     bool anyRate() const;
     /** True when any knob differs from a default-constructed value. */
     bool nonDefault() const;
-
-    /** Overlay HETSIM_FAULT_* environment knobs onto @p base:
-     *  HETSIM_FAULT_TRANSIENT / _DOUBLE / _STUCK / _ROW / _BUS (rates),
-     *  HETSIM_FAULT_SCOPE (comma subset of fast,slow,hmc),
-     *  HETSIM_FAULT_RETRIES, HETSIM_FAULT_BACKOFF,
-     *  HETSIM_FAULT_DEGRADE_THRESHOLD, HETSIM_FAULT_ECC
-     *  (secded|chipkill), HETSIM_FAULT_SEED. */
-    static FaultParams fromEnv(const FaultParams &base);
 
     /** Append a compact stable key fragment (cacheKey support). */
     void appendKey(std::ostream &os) const;

@@ -8,7 +8,6 @@
 #include <sstream>
 
 #include "common/env.hh"
-#include "common/json.hh"
 #include "common/log.hh"
 #include "common/thread_pool.hh"
 #include "sim/report.hh"
@@ -76,27 +75,6 @@ writeJsonExport(const std::string &json, const std::string &key)
         return;
     }
     out << json << "\n";
-}
-
-std::string
-renderFailuresJson(const std::vector<RunFailure> &failures)
-{
-    JsonWriter w;
-    w.beginObject();
-    w.key("failures").beginArray();
-    for (const auto &f : failures) {
-        w.beginObject();
-        w.key("key").value(f.key);
-        w.key("config").value(f.config);
-        w.key("bench").value(f.bench);
-        w.key("first_error").value(f.firstError);
-        w.key("retry_error").value(f.retryError);
-        w.key("recovered").value(f.recovered);
-        w.endObject();
-    }
-    w.endArray();
-    w.endObject();
-    return w.str();
 }
 
 /** The simulation itself plus everything that must read the System
@@ -213,8 +191,7 @@ ExperimentRunner::prefetch(const std::vector<RunSpec> &specs)
         std::string key;
         std::future<void> done;
         RunOutcome outcome;
-        std::string firstError; ///< non-empty: the worker threw
-        bool failed = false;    ///< still no result after the retry
+        bool failed = false; ///< the worker threw
     };
     std::vector<Pending> todo;
     {
@@ -250,49 +227,22 @@ ExperimentRunner::prefetch(const std::vector<RunSpec> &specs)
         }
         // Join in submission order; a worker exception surfaces here on
         // the corresponding future.  It must not abort the sweep — the
-        // other runs' results are already paid for — so capture it into
-        // a per-run failure record instead of rethrowing.
+        // other runs' results are already paid for — so the failed run
+        // is left unmemoised and its accessor re-runs it.
         for (auto &p : todo) {
+            std::string error;
             try {
                 p.done.get();
+                continue;
             } catch (const std::exception &e) {
-                p.firstError = e.what();
+                error = e.what();
             } catch (...) {
-                p.firstError = "unknown exception";
+                error = "unknown exception";
             }
-        }
-    }
-
-    // Retry failed runs once, serially, after the pool is gone: a
-    // transient failure (resource exhaustion under a loaded pool) gets
-    // a quiet second chance, a deterministic one fails identically.
-    for (auto &p : todo) {
-        if (p.firstError.empty())
-            continue;
-        RunFailure f;
-        f.key = p.key;
-        f.config = toString(p.spec.params.mem);
-        f.bench = p.spec.bench;
-        f.firstError = p.firstError;
-        try {
-            p.outcome =
-                runOne(scale_, p.spec, p.activeCores, want_json);
-            f.recovered = true;
-        } catch (const std::exception &e) {
-            f.retryError = e.what();
             p.failed = true;
-        } catch (...) {
-            f.retryError = "unknown exception";
-            p.failed = true;
+            warn("sweep: run '", p.key, "' failed and is left to its "
+                 "accessor: ", error);
         }
-        if (p.failed) {
-            warn("sweep: run '", p.key, "' failed twice and is skipped: ",
-                 f.firstError, " / then: ", f.retryError);
-        } else {
-            warn("sweep: run '", p.key, "' failed once (",
-                 f.firstError, ") but succeeded on retry");
-        }
-        failures_.push_back(std::move(f));
     }
 
     // Commit results — memo entries and JSON exports — in submission
@@ -308,8 +258,6 @@ ExperimentRunner::prefetch(const std::vector<RunSpec> &specs)
         if (want_json)
             writeJsonExport(p.outcome.json, p.key);
     }
-    if (want_json && !failures_.empty())
-        writeJsonExport(renderFailuresJson(failures_), "sweep_failures");
 }
 
 void

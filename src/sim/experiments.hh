@@ -79,22 +79,6 @@ struct RunSpec
 };
 
 /**
- * One failed run in a hardened sweep.  A worker exception no longer
- * aborts prefetch(): the error is captured here, the run is retried
- * once serially, and only a second failure leaves the run unmemoised
- * (a later accessor re-raises by re-running it).
- */
-struct RunFailure
-{
-    std::string key;    ///< memo key of the failed run
-    std::string config; ///< memory configuration name
-    std::string bench;
-    std::string firstError; ///< what the pool worker threw
-    std::string retryError; ///< empty when the serial retry succeeded
-    bool recovered = false; ///< the retry produced a committed result
-};
-
-/**
  * Test hook: invoked at the start of every simulation run (pool worker
  * or serial); may throw to exercise the sweep failure path.  Pass
  * nullptr to clear.  Not thread-safe against concurrent prefetch().
@@ -125,6 +109,9 @@ class ExperimentRunner
      * results.  Duplicate specs (and specs already cached) run once.
      * Afterwards sharedRun()/aloneRun() for those specs are cache hits.
      * Every spec's params pass validate() before the first run starts.
+     * A run whose worker throws is warned about and left unmemoised:
+     * its accessor runs it again on the calling thread and propagates
+     * any error.
      */
     void prefetch(const std::vector<RunSpec> &specs);
 
@@ -137,11 +124,6 @@ class ExperimentRunner
     /** Enumerate and prefetch shared runs of @p configs across all
      *  workloads(). */
     void prefetchShared(const std::vector<SystemParams> &configs);
-
-    /** Failures captured by prefetch() since construction (or the last
-     *  clearFailures()), in submission order. */
-    const std::vector<RunFailure> &failures() const { return failures_; }
-    void clearFailures() { failures_.clear(); }
 
     /** 8-core shared run (memoised). */
     const RunResult &sharedRun(const SystemParams &params,
@@ -179,7 +161,6 @@ class ExperimentRunner
     ExperimentScale scale_;
     unsigned jobs_;
     std::vector<std::string> workloads_;
-    std::vector<RunFailure> failures_;
     /** Memoised results; node-stable, so returned references survive
      *  later inserts.  Guarded by cacheMutex_. */
     std::map<std::string, RunResult> cache_;

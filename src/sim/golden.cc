@@ -188,8 +188,14 @@ goldenParams(const GoldenSpec &spec)
 GoldenOutcome
 runGolden(const GoldenSpec &spec)
 {
-    System system(goldenParams(spec),
-                  workloads::suite::byName(spec.benchmark), kGoldenCores);
+    return runGolden(spec, goldenParams(spec));
+}
+
+GoldenOutcome
+runGolden(const GoldenSpec &spec, const SystemParams &params)
+{
+    System system(params, workloads::suite::byName(spec.benchmark),
+                  kGoldenCores);
     GoldenOutcome out;
     out.result = runSimulation(system, spec.run);
     out.digest = renderGoldenDigest(system, out.result, spec.run);

@@ -68,8 +68,10 @@ struct GoldenOutcome
  *  a DDR3 profiling run over the spec's own window. */
 SystemParams goldenParams(const GoldenSpec &spec);
 
-/** Build + run one golden configuration from a cold system. */
+/** Build + run one golden configuration from a cold system, with
+ *  goldenParams(spec) or the given @p params. */
 GoldenOutcome runGolden(const GoldenSpec &spec);
+GoldenOutcome runGolden(const GoldenSpec &spec, const SystemParams &params);
 
 /** Render the canonical digest for an already-finished run of @p rc. */
 std::string renderGoldenDigest(System &system, const RunResult &result,

@@ -71,24 +71,22 @@ SystemParams::cacheKey() const
     std::ostringstream os;
     os << toString(mem) << "/c" << cores << "/pf" << prefetcherEnabled
        << "/s" << seed << "/hp" << hotPages.size();
-    // Appended only when some knob is set (programmatically or via
-    // HETSIM_FAULT_*), so keys of fault-free runs — every pre-existing
-    // cache entry — are untouched.
-    const fault::FaultParams effective = fault::FaultParams::fromEnv(fault);
-    if (effective.nonDefault())
-        effective.appendKey(os);
+    // Appended only when some fault knob is set, so keys of fault-free
+    // runs — every pre-existing cache entry — are untouched.
+    if (fault.nonDefault())
+        fault.appendKey(os);
     return os.str();
 }
 
 namespace
 {
 
-/** Environment-overlaid fault knobs with the site seed pinned to the
- *  run seed when left at 0 (same SystemParams seed ⇒ same fault sites). */
+/** The run's fault knobs with the site seed pinned to the run seed
+ *  when left at 0 (same SystemParams seed ⇒ same fault sites). */
 fault::FaultParams
 faultFor(const SystemParams &params)
 {
-    fault::FaultParams f = fault::FaultParams::fromEnv(params.fault);
+    fault::FaultParams f = params.fault;
     if (f.seed == 0)
         f.seed = params.seed;
     return f;

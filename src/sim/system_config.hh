@@ -50,8 +50,7 @@ struct SystemParams
     MemConfig mem = MemConfig::BaselineDDR3;
     unsigned cores = 8;
     bool prefetcherEnabled = true;
-    /** Unified fault-injection knobs; HETSIM_FAULT_* environment
-     *  overrides are overlaid in buildBackend. */
+    /** Fault-injection knobs; all defaults inject nothing. */
     fault::FaultParams fault;
     bool trackPerLineCriticality = false;
     bool trackPageCounts = false;

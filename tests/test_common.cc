@@ -18,7 +18,6 @@
 #include "common/table.hh"
 #include "common/thread_pool.hh"
 #include "common/trace.hh"
-#include "fault/fault_model.hh"
 #include "sim/system.hh"
 #include "workloads/suite.hh"
 
@@ -204,7 +203,6 @@ TEST(Env, UnsetOrEmptyYieldsFallback)
 {
     unsetenv("HETSIM_TEST_KNOB");
     EXPECT_EQ(envU64("HETSIM_TEST_KNOB", 7, 1), 7u);
-    EXPECT_DOUBLE_EQ(envRate("HETSIM_TEST_KNOB", 0.5), 0.5);
     setenv("HETSIM_TEST_KNOB", "", 1);
     EXPECT_EQ(envU64("HETSIM_TEST_KNOB", 7, 1), 7u);
     unsetenv("HETSIM_TEST_KNOB");
@@ -216,8 +214,6 @@ TEST(Env, ParsesWholeValues)
     EXPECT_EQ(envU64("HETSIM_TEST_KNOB", 7, 1), 4000u);
     setenv("HETSIM_TEST_KNOB", "0", 1);
     EXPECT_EQ(envU64("HETSIM_TEST_KNOB", 7), 0u);
-    setenv("HETSIM_TEST_KNOB", "1e-3", 1);
-    EXPECT_DOUBLE_EQ(envRate("HETSIM_TEST_KNOB", 0.5), 1e-3);
     unsetenv("HETSIM_TEST_KNOB");
 }
 
@@ -235,13 +231,6 @@ TEST(EnvDeathTest, MalformedNumbersAreFatal)
                 "expected an unsigned integer, got ' 8'");
     EXPECT_EXIT(u64("99999999999999999999"), ::testing::ExitedWithCode(1),
                 "expected an unsigned integer");
-    EXPECT_EXIT(
-        {
-            setenv("HETSIM_TEST_KNOB", "0.5x", 1);
-            envRate("HETSIM_TEST_KNOB", 0.0);
-        },
-        ::testing::ExitedWithCode(1),
-        "HETSIM_TEST_KNOB: expected a rate in \\[0,1\\], got '0.5x'");
 }
 
 TEST(Env, FlagsParseTheSixSpellings)
@@ -324,22 +313,6 @@ TEST(EnvDeathTest, CheckModeIsAbortOrCollect)
         },
         ::testing::ExitedWithCode(1),
         "HETSIM_CHECK_MODE: expected abort\\|collect, got 'Collect'");
-}
-
-TEST(EnvDeathTest, FaultScopeTakesWholeTokens)
-{
-    const auto scope = [](const char *value) {
-        setenv("HETSIM_FAULT_SCOPE", value, 1);
-        fault::FaultParams::fromEnv(fault::FaultParams{});
-    };
-    // Scopes are whole comma-separated tokens, not substrings.
-    EXPECT_EXIT(scope("fastslow"), ::testing::ExitedWithCode(1),
-                "HETSIM_FAULT_SCOPE: expected a comma-separated subset of "
-                "fast,slow,hmc, got 'fastslow'");
-    EXPECT_EXIT(scope("fast,,slow"), ::testing::ExitedWithCode(1),
-                "got 'fast,,slow'");
-    EXPECT_EXIT(scope("slow,hmc2"), ::testing::ExitedWithCode(1),
-                "got 'slow,hmc2'");
 }
 
 TEST(EnvDeathTest, JobsMustBeAPositiveInteger)

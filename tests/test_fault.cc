@@ -18,8 +18,9 @@
  *  - determinism at nonzero BER: same-seed runs produce bit-identical
  *    digests and full reports, and a pinned degraded-mode run matches
  *    its checked-in golden digest;
- *  - zero-rate guarantee: explicit HETSIM_FAULT_*=0 knobs leave all six
- *    golden digests byte-identical to the checked-in baselines.
+ *  - zero-rate guarantee: explicit zero rates leave all six golden
+ *    digests byte-identical to the checked-in baselines, and no
+ *    environment variable reaches a run's fault knobs.
  */
 
 #include <gtest/gtest.h>
@@ -266,30 +267,6 @@ TEST(FaultModel, RetryDelayBacksOffExponentially)
     EXPECT_EQ(model.retryDelay(3), 128u);
 }
 
-TEST(FaultParams, EnvOverlayAndScopeParsing)
-{
-    setenv("HETSIM_FAULT_TRANSIENT", "0.25", 1);
-    setenv("HETSIM_FAULT_SCOPE", "fast,hmc", 1);
-    setenv("HETSIM_FAULT_RETRIES", "5", 1);
-    setenv("HETSIM_FAULT_ECC", "chipkill", 1);
-    setenv("HETSIM_FAULT_SEED", "99", 1);
-    const fault::FaultParams p =
-        fault::FaultParams::fromEnv(fault::FaultParams{});
-    unsetenv("HETSIM_FAULT_TRANSIENT");
-    unsetenv("HETSIM_FAULT_SCOPE");
-    unsetenv("HETSIM_FAULT_RETRIES");
-    unsetenv("HETSIM_FAULT_ECC");
-    unsetenv("HETSIM_FAULT_SEED");
-    EXPECT_DOUBLE_EQ(p.transientBer, 0.25);
-    EXPECT_TRUE(p.scopeFast);
-    EXPECT_FALSE(p.scopeSlow);
-    EXPECT_TRUE(p.scopeHmc);
-    EXPECT_EQ(p.maxRetries, 5u);
-    EXPECT_EQ(p.slowEcc, fault::SlowEccKind::Chipkill);
-    EXPECT_EQ(p.seed, 99u);
-    EXPECT_TRUE(p.nonDefault());
-}
-
 TEST(FaultParams, CacheKeyChangesOnlyForNonDefaultKnobs)
 {
     SystemParams base;
@@ -315,6 +292,24 @@ TEST(FaultParams, CacheKeyDistinguishesFastExtraTransient)
     SystemParams high = low;
     high.fault.fastExtraTransient = 0.25;
     EXPECT_NE(low.cacheKey(), high.cacheKey());
+}
+
+TEST(FaultParams, EnvironmentDoesNotReachTheRun)
+{
+    // Fault knobs come from SystemParams alone: a stray HETSIM_FAULT_*
+    // variable (even a malformed one) changes neither the memo key nor
+    // the built backend.
+    setenv("HETSIM_FAULT_TRANSIENT", "0.25", 1);
+    setenv("HETSIM_FAULT_SCOPE", "fastslow", 1);
+    const std::string key = SystemParams{}.cacheKey();
+    SystemParams params;
+    params.mem = MemConfig::CwfRL;
+    const auto backend = buildBackend(params);
+    unsetenv("HETSIM_FAULT_TRANSIENT");
+    unsetenv("HETSIM_FAULT_SCOPE");
+    EXPECT_EQ(key.find("/fl"), std::string::npos) << key;
+    ASSERT_NE(backend->faultModel(), nullptr);
+    EXPECT_FALSE(backend->faultModel()->enabled());
 }
 
 // ------------------------------------------- backend ladder property
@@ -586,42 +581,37 @@ readFile(const std::string &path)
     return os.str();
 }
 
-/** Pins the HETSIM_FAULT_* rate knobs for a test and restores on exit. */
+/** Golden runs with fault rates set on their SystemParams. */
 class FaultEnv : public ::testing::Test
 {
   protected:
-    void
-    setRates(const char *transient, const char *dbl, const char *stuck,
-             const char *row, const char *bus)
+    static constexpr double kNonzero[5] = {0.02, 0.005, 0.002, 0.0005,
+                                           0.005};
+
+    /** goldenParams(spec) with the five injection rates @p rates
+     *  (transient, double, stuck, row, bus). */
+    static SystemParams
+    faulted(const GoldenSpec &spec, const double (&rates)[5])
     {
-        setenv("HETSIM_FAULT_TRANSIENT", transient, 1);
-        setenv("HETSIM_FAULT_DOUBLE", dbl, 1);
-        setenv("HETSIM_FAULT_STUCK", stuck, 1);
-        setenv("HETSIM_FAULT_ROW", row, 1);
-        setenv("HETSIM_FAULT_BUS", bus, 1);
-    }
-    void TearDown() override
-    {
-        unsetenv("HETSIM_FAULT_TRANSIENT");
-        unsetenv("HETSIM_FAULT_DOUBLE");
-        unsetenv("HETSIM_FAULT_STUCK");
-        unsetenv("HETSIM_FAULT_ROW");
-        unsetenv("HETSIM_FAULT_BUS");
+        SystemParams params = goldenParams(spec);
+        params.fault.transientBer = rates[0];
+        params.fault.doubleBer = rates[1];
+        params.fault.stuckCellRate = rates[2];
+        params.fault.rowFaultRate = rates[3];
+        params.fault.busErrorRate = rates[4];
+        return params;
     }
 };
 
 TEST_F(FaultEnv, NonzeroBerInjectsIntoGoldenRuns)
 {
-    setRates("0.02", "0.005", "0.002", "0.0005", "0.005");
-    SystemParams params;
-    params.mem = MemConfig::CwfRL;
-    params.seed = kGoldenSeed;
-    System system(params, workloads::suite::byName(kGoldenBenchmark),
-                  kGoldenCores);
-    runSimulation(system, goldenRunConfig());
+    const GoldenSpec &spec = goldenSpecs()[2]; // cwf_rl
+    System system(faulted(spec, kNonzero),
+                  workloads::suite::byName(spec.benchmark), kGoldenCores);
+    runSimulation(system, spec.run);
     ASSERT_NE(system.backend().faultModel(), nullptr);
     EXPECT_GT(system.backend().faultModel()->ledger().injected.value(), 0u)
-        << "env knobs must reach the built backend";
+        << "SystemParams::fault must reach the built backend";
 }
 
 TEST_F(FaultEnv, EventAndTickEnginesBitIdenticalAtNonzeroBer)
@@ -629,15 +619,15 @@ TEST_F(FaultEnv, EventAndTickEnginesBitIdenticalAtNonzeroBer)
     // The main loop's two stepping paths (plain tick and the
     // HETSIM_PROFILE-timed tick) must schedule retries and backoffs
     // identically: profiling only observes.
-    setRates("0.02", "0.005", "0.002", "0.0005", "0.005");
     for (const auto &spec : goldenSpecs()) {
         if (spec.config != MemConfig::CwfRL &&
             spec.config != MemConfig::HmcCdf)
             continue; // one CWF and one HMC config keep the test fast
+        const SystemParams params = faulted(spec, kNonzero);
         setenv("HETSIM_PROFILE", "1", 1);
-        const GoldenOutcome profiled = runGolden(spec);
+        const GoldenOutcome profiled = runGolden(spec, params);
         setenv("HETSIM_PROFILE", "0", 1);
-        const GoldenOutcome plain = runGolden(spec);
+        const GoldenOutcome plain = runGolden(spec, params);
         unsetenv("HETSIM_PROFILE");
         EXPECT_EQ(profiled.digest, plain.digest) << spec.key;
         EXPECT_EQ(profiled.fullReport, plain.fullReport)
@@ -648,10 +638,10 @@ TEST_F(FaultEnv, EventAndTickEnginesBitIdenticalAtNonzeroBer)
 
 TEST_F(FaultEnv, SameSeedRunsBitIdenticalAtNonzeroBer)
 {
-    setRates("0.02", "0.005", "0.002", "0.0005", "0.005");
     const GoldenSpec &spec = goldenSpecs()[2]; // cwf_rl
-    const GoldenOutcome a = runGolden(spec);
-    const GoldenOutcome b = runGolden(spec);
+    const SystemParams params = faulted(spec, kNonzero);
+    const GoldenOutcome a = runGolden(spec, params);
+    const GoldenOutcome b = runGolden(spec, params);
     EXPECT_EQ(a.digest, b.digest);
     EXPECT_EQ(a.fullReport, b.fullReport);
 }
@@ -662,9 +652,9 @@ TEST_F(FaultEnv, ExplicitZeroRatesKeepAllGoldenDigests)
         GTEST_SKIP() << "baselines being regenerated";
     // Explicit zeros must be indistinguishable from an absent subsystem:
     // all six digests stay byte-identical to the checked-in baselines.
-    setRates("0", "0", "0", "0", "0");
     for (const auto &spec : goldenSpecs()) {
-        const GoldenOutcome got = runGolden(spec);
+        const GoldenOutcome got =
+            runGolden(spec, faulted(spec, {0, 0, 0, 0, 0}));
         const std::string expected = readFile(goldenPath(spec.key));
         ASSERT_FALSE(expected.empty())
             << goldenPath(spec.key) << " missing";
