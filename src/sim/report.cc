@@ -51,7 +51,6 @@ renderReport(System &system, const RunResult &result)
     out.add("run.benchmark", system.workload());
     out.add("run.window_ticks", result.windowTicks);
     out.add("run.seconds", result.seconds);
-    out.add("run.reads_achieved", result.readsAchieved);
     out.add("run.capped", result.capped ? "true" : "false");
     out.add("run.demand_reads", result.demandReads);
     out.add("run.writebacks", result.writebacks);
@@ -136,7 +135,6 @@ renderReportJson(System &system, const RunResult &result)
     w.key("window_ticks").value(
         static_cast<std::uint64_t>(result.windowTicks));
     w.key("seconds").value(result.seconds);
-    w.key("reads_achieved").value(result.readsAchieved);
     w.key("capped").value(result.capped);
     w.key("tick_ns").value(dram::kTickNs);
     w.endObject();

@@ -49,10 +49,9 @@ runSimulation(System &system, const RunConfig &config)
 
     // ---- measurement ----
     RunResult r;
-    r.readsAchieved =
-        runPhase(system, config.measureReads, config.maxMeasureTicks,
-                 config.statsWindowEvery, &r.windows);
-    r.capped = r.readsAchieved < config.measureReads;
+    r.capped = runPhase(system, config.measureReads, config.maxMeasureTicks,
+                        config.statsWindowEvery,
+                        &r.windows) < config.measureReads;
     const Tick now = system.now();
     r.windowTicks = now - system.windowStart();
     r.seconds = static_cast<double>(r.windowTicks) * dram::kTickNs * 1e-9;

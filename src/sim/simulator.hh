@@ -47,11 +47,10 @@ struct RunResult
     std::vector<double> perCoreIpc;
     Tick windowTicks = 0;
     double seconds = 0;                ///< window wall-time at 3.2 GHz
-    /** Demand fills the measurement window completed; capped when that
-     *  is short of RunConfig::measureReads, i.e. the window stopped at
-     *  maxMeasureTicks. */
-    std::uint64_t readsAchieved = 0;
+    /** The measurement window stopped at maxMeasureTicks, short of
+     *  RunConfig::measureReads demand fills. */
     bool capped = false;
+    /** Demand fills the measurement window completed. */
     std::uint64_t demandReads = 0;
     std::uint64_t writebacks = 0;
     double dramPowerMw = 0;

@@ -362,9 +362,9 @@ TEST(JsonReportTest, DocumentIsValidAndEnumeratesEveryGroup)
     EXPECT_NE(doc.find("\"completed_reads\""), std::string::npos);
     // A window that reached its quantum says so.
     EXPECT_FALSE(result.capped);
-    EXPECT_GE(result.readsAchieved, rc.measureReads);
-    EXPECT_NE(doc.find("\"reads_achieved\":" +
-                       std::to_string(result.readsAchieved)),
+    EXPECT_GE(result.demandReads, rc.measureReads);
+    EXPECT_NE(doc.find("\"demand_reads\":" +
+                       std::to_string(result.demandReads)),
               std::string::npos);
     EXPECT_NE(doc.find("\"capped\":false"), std::string::npos);
     ASSERT_FALSE(result.windows.empty());
@@ -401,7 +401,7 @@ TEST(JsonReportTest, PercentilesAgreeWithHierarchyHistogram)
     EXPECT_NE(text.find("components"), std::string::npos);
     EXPECT_NE(text.find("cache/hierarchy."), std::string::npos);
     EXPECT_NE(text.find("run.capped"), std::string::npos);
-    EXPECT_NE(text.find("run.reads_achieved"), std::string::npos);
+    EXPECT_NE(text.find("run.demand_reads"), std::string::npos);
 }
 
 } // namespace

@@ -191,7 +191,6 @@ TEST(Simulation, LowIntensityWorkloadHitsTickCap)
     const RunResult r = runSimulation(system, rc);
     EXPECT_EQ(r.windowTicks, rc.maxMeasureTicks);
     EXPECT_TRUE(r.capped);
-    EXPECT_EQ(r.readsAchieved, r.demandReads);
     EXPECT_GT(r.aggIpc, 0.0);
 }
 
