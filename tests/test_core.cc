@@ -279,6 +279,41 @@ TEST_F(CoreTest, L1HitLatencyIsShort)
     EXPECT_TRUE(backend.pendingIds.empty());
 }
 
+TEST_F(CoreTest, RobFullBucketCountsWhenTheHeadOutlastsTheWindow)
+{
+    // rob_full needs robSize <= width * (head latency): here a 20-tick
+    // L1 hit holds the head while a 4-wide core fills 8 slots in 2 ticks.
+    Hierarchy::Params hp;
+    hp.cores = 1;
+    hp.prefetch.enabled = false;
+    hp.l1Latency = 20;
+    Core::Params cp;
+    cp.robSize = 8;
+    core.reset();
+    hier = std::make_unique<Hierarchy>(hp, backend);
+    core = std::make_unique<Core>(
+        0, cp, [this] { return nextOp(); }, *hier);
+    hier->setWakeFn([this](std::uint8_t, std::uint16_t slot, Tick t) {
+        core->wake(slot, t);
+    });
+
+    script.push_back(load(0x1000));
+    run(0, 10);
+    backend.completeOldest(11);
+    run(11, 60);
+    core->resetStats(61);
+    for (int i = 0; i < 64; ++i)
+        script.push_back(load(0x1000 + 8 * (i % 8))); // L1 hits
+    run(61, 260);
+
+    EXPECT_GT(core->cpiCycles(Core::CpiBucket::RobFull), 0u);
+    std::uint64_t sum = 0;
+    for (unsigned b = 0; b < Core::kCpiBuckets; ++b)
+        sum += core->cpiCycles(static_cast<Core::CpiBucket>(b));
+    EXPECT_EQ(sum, 200u) << "the five buckets tile the window";
+    EXPECT_TRUE(backend.pendingIds.empty());
+}
+
 TEST_F(CoreTest, IpcWindowResets)
 {
     run(0, 99);
