@@ -86,15 +86,16 @@ runVariant(const Variant &variant, const std::string &bench,
 } // namespace
 
 void
-bench::ablation_fast_channel(ExperimentRunner &)
+bench::ablation_fast_channel(ExperimentRunner &runner)
 {
     bench::printHeader(
         "Ablation (Section 4.2.4)",
         "shared command bus and x9 sub-ranking on the fast channel",
         "sharing the addr/cmd bus is contention-free (4:1 occupancy); "
-        "sub-ranking cuts activation energy at no performance cost");
+        "sub-ranking cuts activation energy at no performance cost",
+        runner.scale());
 
-    const ExperimentScale scale = ExperimentScale::fromEnv();
+    const ExperimentScale &scale = runner.scale();
     const Variant variants[] = {
         {"A: shared bus + x9 sub-ranks (Fig. 5c)", true, true},
         {"B: dedicated buses + x9 sub-ranks (Fig. 5b)", false, true},

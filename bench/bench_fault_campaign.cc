@@ -45,10 +45,15 @@ faultsAt(double ber)
 void
 bench::fault_campaign(ExperimentRunner &)
 {
+    const RunConfig window = goldenRunConfig();
     bench::printHeader(
         "Fault campaign", "BER sweep over the golden configurations",
         "every injected fault is corrected, retried or escalated; "
-        "persistent faults degrade the fast tier instead of wedging it");
+        "persistent faults degrade the fast tier instead of wedging it",
+        "run window: " + std::to_string(window.measureReads) +
+            " demand reads/run after " + std::to_string(window.warmupReads) +
+            " warm-up reads, fixed (the golden window; HETSIM_READS does "
+            "not apply)");
 
     // Each run arms the checker itself; later sections get back the
     // checker state (HETSIM_CHECK / HETSIM_CHECK_MODE) found here.
@@ -75,8 +80,7 @@ bench::fault_campaign(ExperimentRunner &)
             System system(params,
                           workloads::suite::byName(kGoldenBenchmark),
                           kGoldenCores);
-            const RunResult result =
-                runSimulation(system, goldenRunConfig());
+            const RunResult result = runSimulation(system, window);
 
             const auto &hist =
                 system.hierarchy().stats().criticalWordLatencyHist;

@@ -15,7 +15,8 @@ bench::fig01a_homogeneous(ExperimentRunner &runner)
 {
     bench::printHeader(
         "Figure 1(a)", "sensitivity to homogeneous DRAM flavours",
-        "RLDRAM3 outperforms DDR3 by ~31% on average; LPDDR2 loses ~13%");
+        "RLDRAM3 outperforms DDR3 by ~31% on average; LPDDR2 loses ~13%",
+        runner.scale());
 
     const SystemParams baseline =
         ExperimentRunner::paramsFor(MemConfig::BaselineDDR3);

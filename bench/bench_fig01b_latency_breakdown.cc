@@ -17,7 +17,8 @@ bench::fig01b_latency_breakdown(ExperimentRunner &runner)
     bench::printHeader(
         "Figure 1(b)", "read latency breakdown (queue vs core)",
         "RLDRAM3 cuts queue latency drastically; LPDDR2 is ~41% slower "
-        "than DDR3");
+        "than DDR3",
+        runner.scale());
 
     runner.prefetchShared(
         {ExperimentRunner::paramsFor(MemConfig::BaselineDDR3),

@@ -19,13 +19,12 @@ namespace
 {
 
 void
-analyse(const std::string &bench)
+analyse(const std::string &bench, const ExperimentScale &scale)
 {
     SystemParams params =
         ExperimentRunner::paramsFor(MemConfig::BaselineDDR3);
     params.trackPerLineCriticality = true;
     System system(params, workloads::suite::byName(bench), params.cores);
-    const auto scale = ExperimentScale::fromEnv();
     (void)runSimulation(system, scale.runConfig(params.cores,
                                                 params.cores));
 
@@ -90,13 +89,14 @@ analyse(const std::string &bench)
 } // namespace
 
 void
-bench::fig03_critical_word_lines(ExperimentRunner &)
+bench::fig03_critical_word_lines(ExperimentRunner &runner)
 {
     bench::printHeader(
         "Figure 3", "critical words within highly-accessed lines",
         "for most cache lines some words are far more critical than "
         "others: leslie3d's lines are word-0 bound, mcf's split across "
-        "words 0/3");
-    analyse("leslie3d");
-    analyse("mcf");
+        "words 0/3",
+        runner.scale());
+    analyse("leslie3d", runner.scale());
+    analyse("mcf", runner.scale());
 }

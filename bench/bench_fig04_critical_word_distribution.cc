@@ -16,7 +16,8 @@ bench::fig04_critical_word_distribution(ExperimentRunner &runner)
     bench::printHeader(
         "Figure 4", "critical word distribution per program",
         "word 0 is critical in >50% of fetches for 21 of 27 programs; "
-        "~67% of all fetches suite-wide; pointer chasers are uniform");
+        "~67% of all fetches suite-wide; pointer chasers are uniform",
+        runner.scale());
 
     const SystemParams baseline =
         ExperimentRunner::paramsFor(MemConfig::BaselineDDR3);

@@ -17,7 +17,8 @@ bench::fig06_cwf_throughput(ExperimentRunner &runner)
         "Figure 6", "CWF heterogeneous system throughput",
         "RD +21%, RL +12.9%, DL -9% on average; word-0 programs (cg, lu, "
         "mg, sp, GemsFDTD, leslie3d, libquantum) gain most; bzip2 "
-        "regresses ~4% under RL");
+        "regresses ~4% under RL",
+        runner.scale());
 
     const SystemParams baseline =
         ExperimentRunner::paramsFor(MemConfig::BaselineDDR3);

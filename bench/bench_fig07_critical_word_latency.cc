@@ -17,7 +17,8 @@ bench::fig07_critical_word_latency(ExperimentRunner &runner)
     bench::printHeader(
         "Figure 7", "critical word latency",
         "RD cuts critical-word latency ~30%, RL ~22% versus the DDR3 "
-        "baseline");
+        "baseline",
+        runner.scale());
 
     const std::vector<MemConfig> configs{
         MemConfig::BaselineDDR3, MemConfig::CwfRD, MemConfig::CwfRL,

@@ -16,7 +16,8 @@ bench::fig08_rldram_service_fraction(ExperimentRunner &runner)
     bench::printHeader(
         "Figure 8", "critical words served by RLDRAM3 (static word 0)",
         "~67% suite-wide; near-100% for word-0 programs, low for "
-        "lbm/mcf/milc/omnetpp");
+        "lbm/mcf/milc/omnetpp",
+        runner.scale());
 
     const SystemParams rl = ExperimentRunner::paramsFor(MemConfig::CwfRL);
     runner.prefetchShared({rl});

@@ -16,7 +16,8 @@ bench::fig09_adaptive_oracle(ExperimentRunner &runner)
     bench::printHeader(
         "Figure 9", "adaptive and oracle critical-word placement",
         "RL +12.9% < RL AD +15.7% < RL OR +28% < all-RLDRAM3; mcf gains "
-        "most from adaptation (words 0/3)");
+        "most from adaptation (words 0/3)",
+        runner.scale());
 
     const SystemParams baseline =
         ExperimentRunner::paramsFor(MemConfig::BaselineDDR3);

@@ -21,7 +21,8 @@ bench::fig10_system_energy(ExperimentRunner &runner)
     bench::printHeader(
         "Figure 10", "system energy normalized to DDR3",
         "RL cuts system energy ~6% (memory energy ~15%, memory power "
-        "~1.9%); DL ~13%; bzip2/dealII/gobmk-class programs can regress");
+        "~1.9%); DL ~13%; bzip2/dealII/gobmk-class programs can regress",
+        runner.scale());
 
     const SystemParams baseline =
         ExperimentRunner::paramsFor(MemConfig::BaselineDDR3);

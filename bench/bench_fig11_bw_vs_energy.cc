@@ -22,7 +22,8 @@ bench::fig11_bw_vs_energy(ExperimentRunner &runner)
     bench::printHeader(
         "Figure 11", "bandwidth utilization vs RL energy savings",
         "energy savings generally increase with bandwidth utilization; "
-        "low-utilization programs can see net increases");
+        "low-utilization programs can see net increases",
+        runner.scale());
 
     const SystemParams baseline =
         ExperimentRunner::paramsFor(MemConfig::BaselineDDR3);

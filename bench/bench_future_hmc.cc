@@ -19,7 +19,8 @@ bench::future_hmc(ExperimentRunner &runner)
         "Section 10 (future work)",
         "critical-data-first in an HMC-like packetised memory",
         "\"the critical data could be returned in an earlier "
-        "high-priority packet\" - sketched, not evaluated, in the paper");
+        "high-priority packet\" - sketched, not evaluated, in the paper",
+        runner.scale());
 
     const SystemParams ddr3 =
         ExperimentRunner::paramsFor(MemConfig::BaselineDDR3);

@@ -15,7 +15,8 @@ bench::sec61_no_prefetcher(ExperimentRunner &runner)
 {
     bench::printHeader(
         "Section 6.1.1 (no prefetcher)", "RL gain without prefetching",
-        "RL improves 17.3% without the prefetcher vs 12.9% with it");
+        "RL improves 17.3% without the prefetcher vs 12.9% with it",
+        runner.scale());
 
     runner.prefetchThroughput(
         {ExperimentRunner::paramsFor(MemConfig::CwfRL, true)},

@@ -18,7 +18,8 @@ bench::sec61_random_mapping(ExperimentRunner &runner)
         "Section 6.1.1 (random mapping)",
         "RL with random critical-word placement",
         "random mapping yields only ~2.1% average improvement with many "
-        "applications severely degraded");
+        "applications severely degraded",
+        runner.scale());
 
     const SystemParams baseline =
         ExperimentRunner::paramsFor(MemConfig::BaselineDDR3);

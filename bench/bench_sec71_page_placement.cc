@@ -22,7 +22,8 @@ bench::sec71_page_placement(ExperimentRunner &runner)
         "Section 7.1 (page placement)",
         "profile-guided hot-page placement vs CWF",
         "page placement averages ~8% with wide variance; the top 7.6% of "
-        "pages capture at most ~30% of accesses");
+        "pages capture at most ~30% of accesses",
+        runner.scale());
 
     const SystemParams baseline =
         ExperimentRunner::paramsFor(MemConfig::BaselineDDR3);

@@ -22,7 +22,8 @@ bench::sec72_malladi_lpdram(ExperimentRunner &runner)
         "Section 7.2 (Malladi-style LPDRAM)",
         "RL with unmodified mobile DRAM chips",
         "energy savings boosted (memory energy savings toward ~26%) with "
-        "very little performance loss");
+        "very little performance loss",
+        runner.scale());
 
     const SystemParams baseline =
         ExperimentRunner::paramsFor(MemConfig::BaselineDDR3);

@@ -2,8 +2,8 @@
  * @file
  * Shared scaffolding for the paper driver's sections (one per
  * bench_<section>.cc): a standard header that states which paper
- * artifact is being regenerated, what the paper reports, and at what
- * read quantum this run executes.
+ * artifact is being regenerated, what the paper reports, and what
+ * window its runs simulate.
  *
  * Every section prints an aligned human-readable table followed by a CSV
  * block (between "--- csv ---" markers) for downstream plotting.
@@ -23,17 +23,18 @@
 namespace hetsim::bench
 {
 
+/** A section's header.  @p window states the window each of the
+ *  section's runs simulates; a section that simulates nothing leaves
+ *  it empty and prints no window line. */
 inline void
 printHeader(const std::string &artifact, const std::string &title,
-            const std::string &paper_reports)
+            const std::string &paper_reports, const std::string &window = {})
 {
-    const auto scale = sim::ExperimentScale::fromEnv();
     std::cout << "================================================\n"
               << artifact << ": " << title << "\n"
-              << "paper reports: " << paper_reports << "\n"
-              << "run quantum: " << scale.measureReads
-              << " demand reads/workload (HETSIM_READS to change; the "
-                 "paper used 2,000,000)\n";
+              << "paper reports: " << paper_reports << "\n";
+    if (!window.empty())
+        std::cout << window << "\n";
     if (const char *dir = std::getenv("HETSIM_JSON_DIR")) {
         std::cout << "json reports: one per (config,workload) run in "
                   << dir << "/\n";
@@ -42,6 +43,18 @@ printHeader(const std::string &artifact, const std::string &title,
                      "export machine-readable per-run reports)\n";
     }
     std::cout << "================================================\n\n";
+}
+
+/** The header of a section whose runs execute at @p scale's quantum. */
+inline void
+printHeader(const std::string &artifact, const std::string &title,
+            const std::string &paper_reports,
+            const sim::ExperimentScale &scale)
+{
+    printHeader(artifact, title, paper_reports,
+                "run quantum: " + std::to_string(scale.measureReads) +
+                    " demand reads/workload (HETSIM_READS to change; the "
+                    "paper used 2,000,000)");
 }
 
 /** A ratio normalised to a baseline as "<x>% below" or "<x>% above",
