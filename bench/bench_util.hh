@@ -13,7 +13,6 @@
 #define HETSIM_BENCH_BENCH_UTIL_HH
 
 #include <cmath>
-#include <cstdlib>
 #include <iostream>
 #include <string>
 
@@ -35,13 +34,6 @@ printHeader(const std::string &artifact, const std::string &title,
               << "paper reports: " << paper_reports << "\n";
     if (!window.empty())
         std::cout << window << "\n";
-    if (const char *dir = std::getenv("HETSIM_JSON_DIR")) {
-        std::cout << "json reports: one per (config,workload) run in "
-                  << dir << "/\n";
-    } else {
-        std::cout << "json reports: off (set HETSIM_JSON_DIR=<dir> to "
-                     "export machine-readable per-run reports)\n";
-    }
     std::cout << "================================================\n\n";
 }
 

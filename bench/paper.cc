@@ -9,9 +9,12 @@
  *   paper                  every section, in DESIGN.md section 4's order
  *   paper <section> ...    the named sections, in the order given
  *
- * Each section's output is preceded by a "######## <section>" line.
+ * Each section's output is preceded by a "######## <section>" line.  One
+ * "json reports:" line before the first section says whether runs are
+ * exported (HETSIM_JSON_DIR).
  */
 
+#include <cstdlib>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -79,6 +82,17 @@ main(int argc, char **argv)
     if (chosen.empty()) {
         for (const Section &s : kSections)
             chosen.push_back(&s);
+    }
+
+    // Only runs that go through the runner's memo are exported; the
+    // sections that simulate on their own (or not at all) write none.
+    if (const char *dir = std::getenv("HETSIM_JSON_DIR"); dir && *dir) {
+        std::cout << "json reports: one per memoised (config,workload) "
+                     "run in "
+                  << dir << "/\n";
+    } else {
+        std::cout << "json reports: off (set HETSIM_JSON_DIR=<dir> to "
+                     "export one report per memoised run)\n";
     }
 
     sim::ExperimentRunner runner;

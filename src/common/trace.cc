@@ -100,17 +100,14 @@ Tracer::configureFromEnvironment()
     if (!envFlag("HETSIM_TRACE", false))
         return;
 
-    capacity_ = envU64("HETSIM_TRACE_BUFFER", capacity_, 1);
     Format format = Format::Jsonl;
     if (const char *fmt = std::getenv("HETSIM_TRACE_FORMAT"); fmt && *fmt) {
         const std::string f(fmt);
-        if (f == "csv")
-            format = Format::Csv;
-        else if (f == "chrome")
+        if (f == "chrome")
             format = Format::Chrome;
         else if (f != "jsonl")
-            fatal("HETSIM_TRACE_FORMAT: expected jsonl|csv|chrome, got '",
-                  fmt, "'");
+            fatal("HETSIM_TRACE_FORMAT: expected jsonl|chrome, got '", fmt,
+                  "'");
     }
     const char *path = std::getenv("HETSIM_TRACE_FILE");
     enableFileSink(path ? path : "hetsim_trace.jsonl", format);
@@ -128,7 +125,7 @@ Tracer::enableFileSink(const std::string &path, Format format)
     sinkPath_ = path;
     format_ = format;
     fileSink_ = true;
-    csvHeaderWritten_ = false;
+    capacity_ = kFileSinkRing;
     chromeWritten_ = 0;
     if (format_ == Format::Chrome)
         out_ << "[";
@@ -199,14 +196,6 @@ Tracer::record(const Record &r)
 void
 Tracer::writeRecord(std::ostream &os, const Record &r) const
 {
-    if (format_ == Format::Csv) {
-        os << r.tick << ',' << toString(r.event) << ',' << r.reqId << ','
-           << r.lineAddr << ',' << static_cast<unsigned>(r.core) << ','
-           << static_cast<unsigned>(r.channel) << ','
-           << static_cast<unsigned>(r.part) << ',' << r.detail << ','
-           << r.aux << '\n';
-        return;
-    }
     if (format_ == Format::Chrome) {
         // Chrome trace-event objects (one per line inside the array that
         // flush()/disable() frame).  Ticks map 1:1 onto the viewer's
@@ -253,10 +242,6 @@ Tracer::flush()
 {
     if (!fileSink_ || !out_.is_open()) {
         return;
-    }
-    if (format_ == Format::Csv && !csvHeaderWritten_) {
-        out_ << "tick,event,req,line,core,channel,part,detail,aux\n";
-        csvHeaderWritten_ = true;
     }
     for (const Record &r : ring_) {
         if (format_ == Format::Chrome)

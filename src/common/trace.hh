@@ -4,7 +4,7 @@
  * demand-read path (core issue -> MSHR allocation -> controller enqueue
  * -> scheduler pick -> bank ACT/CAS -> fast-word arrival -> early wake
  * -> full-line completion -> SECDED check) recorded into a ring buffer
- * and drained to a JSONL or CSV sink.
+ * and drained to a JSONL or Chrome trace-event sink.
  *
  * Cost model: when tracing is disabled (the default) every
  * HETSIM_TRACE_EVENT call is a single load+branch on a global flag.
@@ -14,10 +14,9 @@
  *   HETSIM_TRACE=1            enable, sink to HETSIM_TRACE_FILE
  *                             (0|1|false|true|off|on; else fatal)
  *   HETSIM_TRACE_FILE=<path>  sink path (default "hetsim_trace.jsonl")
- *   HETSIM_TRACE_FORMAT=csv   CSV instead of JSONL
  *   HETSIM_TRACE_FORMAT=chrome  Chrome trace-event JSON (Perfetto /
  *                             chrome://tracing; ticks rendered as µs)
- *   HETSIM_TRACE_BUFFER=<n>   ring capacity in records (default 65536)
+ *                             instead of JSONL
  *
  * Records correlate on `reqId`, the MSHR entry id that follows one fill
  * through every layer (0 for events before allocation / writebacks).
@@ -71,7 +70,7 @@ struct Record
     std::uint8_t part = 0;    ///< dram::MemRequest part tag
 };
 
-enum class Format : std::uint8_t { Jsonl, Csv, Chrome };
+enum class Format : std::uint8_t { Jsonl, Chrome };
 
 namespace detail
 {
@@ -99,13 +98,18 @@ class Tracer
 
     bool enabled() const { return detail::g_traceEnabled; }
 
-    /** Enable with a file sink; flushes whenever the ring fills. */
+    /** Records a file sink buffers between flushes. */
+    static constexpr std::size_t kFileSinkRing = 65536;
+
+    /** Enable with a file sink; flushes whenever its kFileSinkRing-record
+     *  ring fills. */
     void enableFileSink(const std::string &path,
                         Format format = Format::Jsonl);
 
-    /** Enable ring-only capture (tests/tools); when the ring is full the
-     *  oldest records are overwritten. */
-    void enableInMemory(std::size_t capacity = 65536);
+    /** Enable ring-only capture of @p capacity records (tests/tools);
+     *  when the ring is full the oldest records are overwritten.  A later
+     *  file sink goes back to kFileSinkRing. */
+    void enableInMemory(std::size_t capacity);
 
     /** Flush and stop recording. */
     void disable();
@@ -136,14 +140,13 @@ class Tracer
     void writeRecord(std::ostream &os, const Record &r) const;
 
     std::vector<Record> ring_;
-    std::size_t capacity_ = 65536;
+    std::size_t capacity_ = kFileSinkRing;
     std::size_t head_ = 0;   ///< next write slot (in-memory wrap mode)
     bool wrapped_ = false;
     bool fileSink_ = false;
     Format format_ = Format::Jsonl;
     std::ofstream out_;
     std::string sinkPath_;
-    bool csvHeaderWritten_ = false;
     std::uint64_t chromeWritten_ = 0; ///< events emitted into the array
     std::uint64_t recorded_ = 0;
     std::uint64_t dropped_ = 0;

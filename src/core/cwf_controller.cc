@@ -19,22 +19,6 @@
 namespace hetsim::cwf
 {
 
-namespace
-{
-
-/** Effective fault knobs: an unset fault seed derives from the backend
- *  seed so same-seed runs hit the same fault sites. */
-fault::FaultParams
-cwfFaultParams(const CwfHeteroMemory::Params &params)
-{
-    fault::FaultParams p = params.fault;
-    if (p.seed == 0)
-        p.seed = params.seed;
-    return p;
-}
-
-} // namespace
-
 CwfHeteroMemory::CwfHeteroMemory(const Params &params,
                                  std::unique_ptr<LineLayout> layout)
     : params_(params), layout_(std::move(layout)),
@@ -51,7 +35,7 @@ CwfHeteroMemory::CwfHeteroMemory(const Params &params,
       fast_(params.fastDevice, params.fastSubChannels,
             params.ranksPerFastSub, params.fastChipsPerRank, params.sched,
             params.sharedCommandBus),
-      faultModel_(cwfFaultParams(params)), retryLadder_(faultModel_),
+      faultModel_(params.fault), retryLadder_(faultModel_),
       subDegraded_(params.fastSubChannels, false)
 {
     sim_assert(layout_, "CWF memory needs a line layout");

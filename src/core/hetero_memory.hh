@@ -152,7 +152,6 @@ class CwfHeteroMemory : public MemoryBackend
          *  buses (one controller per critical-word channel). */
         bool sharedCommandBus = true;
         dram::SchedulerPolicy sched;
-        std::uint64_t seed = 1;
         fault::FaultParams fault; ///< unified fault-injection knobs
     };
 

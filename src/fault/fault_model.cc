@@ -84,10 +84,7 @@ bool
 FaultParams::nonDefault() const
 {
     const FaultParams def;
-    return anyRate() || scopeFast != def.scopeFast ||
-           scopeSlow != def.scopeSlow || scopeHmc != def.scopeHmc ||
-           maxRetries != def.maxRetries ||
-           retryBackoffTicks != def.retryBackoffTicks ||
+    return anyRate() || maxRetries != def.maxRetries ||
            degradeThreshold != def.degradeThreshold ||
            slowEcc != def.slowEcc || seed != def.seed;
 }
@@ -97,9 +94,8 @@ FaultParams::appendKey(std::ostream &os) const
 {
     os << "/fl" << transientBer << ':' << doubleBer << ':' << stuckCellRate
        << ':' << rowFaultRate << ':' << busErrorRate << ':'
-       << fastExtraTransient << "/fs"
-       << scopeFast << scopeSlow << scopeHmc << "/fr" << maxRetries << ':'
-       << retryBackoffTicks << ':' << degradeThreshold << "/fe"
+       << fastExtraTransient << "/fr" << maxRetries << ':'
+       << degradeThreshold << "/fe"
        << (slowEcc == SlowEccKind::Chipkill ? "ck" : "sd") << "/fx"
        << seed;
 }
@@ -117,18 +113,6 @@ FaultModel::FaultModel(const FaultParams &params)
 FaultModel::~FaultModel()
 {
     check::onFaultDomainDestroyed(this);
-}
-
-bool
-FaultModel::pathScoped(ReadPath path) const
-{
-    switch (path) {
-    case ReadPath::FastCritical: return params_.scopeFast;
-    case ReadPath::SlowBulk: return params_.scopeSlow;
-    case ReadPath::HmcCritical:
-    case ReadPath::HmcBulk: return params_.scopeHmc;
-    }
-    return false;
 }
 
 std::uint64_t
@@ -166,7 +150,7 @@ FaultModel::onRead(ReadPath path, Addr line_addr,
                    const dram::DramCoord &coord, Tick at)
 {
     Injection inj;
-    if (!enabled_ || !pathScoped(path))
+    if (!enabled_)
         return inj;
 
     const std::uint64_t site = siteKeyOf(path, line_addr);
@@ -351,11 +335,11 @@ FaultModel::noteSiteFault(const Injection &inj)
 }
 
 Tick
-FaultModel::retryDelay(unsigned attempt) const
+FaultModel::retryDelay(unsigned attempt)
 {
     sim_assert(attempt >= 1);
     const unsigned shift = attempt - 1 < 16 ? attempt - 1 : 16;
-    return params_.retryBackoffTicks << shift;
+    return kRetryBackoffTicks << shift;
 }
 
 void
@@ -416,7 +400,7 @@ BulkRetryLadder::onReadComplete(ReadPath path, Addr line_addr,
         model_.resolve(inj, Resolution::Retried, at);
         model_.noteRetryRead();
         queue_.push_back(RetryRead{line_addr, coord, cookie, core_id,
-                                   at + model_.retryDelay(n)});
+                                   at + FaultModel::retryDelay(n)});
         return false;
     }
     // Budget exhausted: the line is delivered with the error surfaced

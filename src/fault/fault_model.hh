@@ -97,15 +97,8 @@ struct FaultParams
      *  chance that a critical word fails its byte-parity check. */
     double fastExtraTransient = 0.0;
 
-    // Spatial scoping: which read paths faults are injected on.
-    bool scopeFast = true;
-    bool scopeSlow = true;
-    bool scopeHmc = true;
-
     /** Bounded re-read budget for uncorrectable bulk errors. */
     unsigned maxRetries = 3;
-    /** Base re-read backoff, ticks; doubles with each attempt. */
-    Tick retryBackoffTicks = 32;
     /** Detected *persistent* faults at one site before the region is
      *  retired and the hierarchy degrades to slow-only service. */
     unsigned degradeThreshold = 3;
@@ -162,8 +155,6 @@ class FaultModel
      *  stay bit-identical). */
     bool enabled() const { return enabled_; }
 
-    bool pathScoped(ReadPath path) const;
-
     /**
      * Sample the fault state of one fragment read completing at @p at.
      * Deterministic in (seed, path, site, per-site sequence); runs the
@@ -187,8 +178,11 @@ class FaultModel
      */
     bool noteSiteFault(const Injection &inj);
 
+    /** Base re-read backoff, ticks; doubles with each attempt. */
+    static constexpr Tick kRetryBackoffTicks = 32;
+
     /** Backoff delay before re-read attempt @p attempt (1-based). */
-    Tick retryDelay(unsigned attempt) const;
+    static Tick retryDelay(unsigned attempt);
 
     void noteRetryRead() { ledger_.retryReads.inc(); }
     void noteRegionRetired() { ledger_.retiredRegions.inc(); }

@@ -113,7 +113,6 @@ ExperimentScale::fromEnv()
         s.warmupReads = std::max<std::uint64_t>(reads, 1000);
     }
     s.warmupReads = envU64("HETSIM_WARMUP", s.warmupReads, 1);
-    s.statsWindowEvery = envU64("HETSIM_WINDOW_EVERY", s.statsWindowEvery);
     return s;
 }
 
@@ -137,7 +136,6 @@ ExperimentScale::runConfig(unsigned active_cores,
     // to keep full-suite sweeps fast.
     rc.maxWarmupTicks = 3'000'000;
     rc.maxMeasureTicks = 12'000'000;
-    rc.statsWindowEvery = statsWindowEvery;
     return rc;
 }
 

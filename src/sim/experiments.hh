@@ -37,8 +37,6 @@ struct ExperimentScale
 {
     std::uint64_t measureReads = 4000;
     std::uint64_t warmupReads = 4000;
-    /** Periodic WindowSample cadence (HETSIM_WINDOW_EVERY; 0 = off). */
-    std::uint64_t statsWindowEvery = 0;
 
     static ExperimentScale fromEnv();
 

@@ -79,7 +79,6 @@ goldenRunConfig()
     rc.warmupReads = 400;
     rc.maxWarmupTicks = 3'000'000;
     rc.maxMeasureTicks = 30'000'000;
-    rc.statsWindowEvery = 0;
     return rc;
 }
 

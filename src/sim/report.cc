@@ -186,16 +186,6 @@ renderReportJson(System &system, const RunResult &result)
     }
     w.endObject();
 
-    w.key("windows").beginArray();
-    for (const WindowSample &s : result.windows) {
-        w.beginObject();
-        w.key("completed_reads").value(s.completedReads);
-        w.key("end_tick").value(static_cast<std::uint64_t>(s.endTick));
-        w.key("agg_ipc").value(s.aggIpc);
-        w.endObject();
-    }
-    w.endArray();
-
     w.endObject();
     return w.str();
 }

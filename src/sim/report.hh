@@ -20,8 +20,8 @@ namespace hetsim::sim
 std::string renderReport(System &system, const RunResult &result);
 
 /** Render one machine-readable JSON document for the run: metadata,
- *  the RunResult headline metrics, every registered stat group's
- *  current values, and the periodic window samples (if recorded). */
+ *  the RunResult headline metrics and every registered stat group's
+ *  current values. */
 std::string renderReportJson(System &system, const RunResult &result);
 
 } // namespace hetsim::sim

@@ -12,28 +12,19 @@ namespace
 
 /**
  * Tick until @p target_reads more demand fills complete or @p max_ticks
- * pass.  With @p every > 0, append a WindowSample to @p windows each
- * time the completed count crosses the next multiple of @p every.
- * Returns the demand fills completed: fewer than @p target_reads means
- * the phase stopped at its tick cap.
+ * pass.  Returns the demand fills completed: fewer than @p target_reads
+ * means the phase stopped at its tick cap.
  */
 std::uint64_t
-runPhase(System &system, std::uint64_t target_reads, Tick max_ticks,
-         std::uint64_t every, std::vector<WindowSample> *windows)
+runPhase(System &system, std::uint64_t target_reads, Tick max_ticks)
 {
     const Tick deadline = system.now() + max_ticks;
     const auto &stats = system.hierarchy().stats();
     const std::uint64_t start = stats.demandCompletions.value();
-    std::uint64_t next_sample = every;
     std::uint64_t done = 0;
     while (done < target_reads && system.now() < deadline) {
         system.tick();
         done = stats.demandCompletions.value() - start;
-        if (every != 0 && done >= next_sample) {
-            windows->push_back(WindowSample{done, system.now(),
-                                            system.aggregateIpc()});
-            next_sample += every;
-        }
     }
     return done;
 }
@@ -44,14 +35,13 @@ RunResult
 runSimulation(System &system, const RunConfig &config)
 {
     // ---- warmup ----
-    runPhase(system, config.warmupReads, config.maxWarmupTicks, 0, nullptr);
+    runPhase(system, config.warmupReads, config.maxWarmupTicks);
     system.resetStats();
 
     // ---- measurement ----
     RunResult r;
-    r.capped = runPhase(system, config.measureReads, config.maxMeasureTicks,
-                        config.statsWindowEvery,
-                        &r.windows) < config.measureReads;
+    r.capped = runPhase(system, config.measureReads,
+                        config.maxMeasureTicks) < config.measureReads;
     const Tick now = system.now();
     r.windowTicks = now - system.windowStart();
     r.seconds = static_cast<double>(r.windowTicks) * dram::kTickNs * 1e-9;

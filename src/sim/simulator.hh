@@ -27,18 +27,6 @@ struct RunConfig
     /** Hard tick caps so low-MPKI workloads (ep) terminate. */
     Tick maxWarmupTicks = 3'000'000;
     Tick maxMeasureTicks = 30'000'000;
-    /** When non-zero, record a WindowSample every N demand fills during
-     *  the measurement phase (RunResult::windows). */
-    std::uint64_t statsWindowEvery = 0;
-};
-
-/** Periodic progress snapshot taken every RunConfig::statsWindowEvery
- *  demand fills. */
-struct WindowSample
-{
-    std::uint64_t completedReads = 0; ///< demand fills since window start
-    Tick endTick = 0;                 ///< absolute tick of the snapshot
-    double aggIpc = 0;                ///< cumulative window IPC so far
 };
 
 struct RunResult
@@ -73,8 +61,6 @@ struct RunResult
     /** Share of fills routed to the hot tier (Section 7.1 page
      *  placement); 0 for a backend without one. */
     double hotTierShare = 0;
-    /** Filled only when RunConfig::statsWindowEvery > 0. */
-    std::vector<WindowSample> windows;
 };
 
 /** Run warmup + measurement on an already-constructed system. */

@@ -130,7 +130,6 @@ buildCwf(const SystemParams &params)
 {
     cwf::CwfHeteroMemory::Params p;
     p.configName = toString(params.mem);
-    p.seed = params.seed;
     p.fault = faultFor(params);
 
     switch (params.mem) {

@@ -245,11 +245,15 @@ TEST(CpiStack, BucketsTileTheWindowAcrossEnginesModesAndSchedulers)
                       0u);
         }
     }
-    // The attribution must be bit-identical across loop modes (same
-    // contract as the reports).
+    // The attribution must be bit-identical between the plain and the
+    // HETSIM_PROFILE-timed tick (same contract as the reports).
     for (std::size_t i = 1; i < runs.size(); ++i) {
-        EXPECT_EQ(runs[i].windowTicks, runs[0].windowTicks);
-        EXPECT_EQ(runs[i].stacks, runs[0].stacks) << "run " << i;
+        EXPECT_EQ(runs[i].windowTicks, runs[0].windowTicks)
+            << "window differs between the plain and the "
+               "HETSIM_PROFILE-timed tick";
+        EXPECT_EQ(runs[i].stacks, runs[0].stacks)
+            << "CPI stacks differ between the plain and the "
+               "HETSIM_PROFILE-timed tick";
     }
     // mcf on CwfRL is memory bound: the stacks must attribute waits.
     std::uint64_t mem_wait = 0;

@@ -259,12 +259,9 @@ TEST(FaultModel, LegacyAliasHitsOnlyTheFastPathAndNeverDegrades)
 
 TEST(FaultModel, RetryDelayBacksOffExponentially)
 {
-    fault::FaultParams p;
-    p.retryBackoffTicks = 32;
-    fault::FaultModel model(p);
-    EXPECT_EQ(model.retryDelay(1), 32u);
-    EXPECT_EQ(model.retryDelay(2), 64u);
-    EXPECT_EQ(model.retryDelay(3), 128u);
+    EXPECT_EQ(fault::FaultModel::retryDelay(1), 32u);
+    EXPECT_EQ(fault::FaultModel::retryDelay(2), 64u);
+    EXPECT_EQ(fault::FaultModel::retryDelay(3), 128u);
 }
 
 TEST(FaultParams, CacheKeyChangesOnlyForNonDefaultKnobs)
@@ -397,7 +394,6 @@ TEST_F(FaultLadder, CwfLedgerBalancesUnderArmedChecker)
     p.fastDevice = DeviceParams::rldram3();
     p.fault = highRates();
     p.fault.maxRetries = 2;
-    p.fault.retryBackoffTicks = 16;
     CwfHeteroMemory mem(p, std::make_unique<StaticLayout>());
 
     const auto events = driveToIdle(mem, 64);
@@ -414,7 +410,6 @@ TEST_F(FaultLadder, HomogeneousLedgerBalancesUnderArmedChecker)
     p.device = DeviceParams::ddr3_1600();
     p.fault = highRates();
     p.fault.maxRetries = 2;
-    p.fault.retryBackoffTicks = 16;
     HomogeneousMemory mem(p);
 
     const auto events = driveToIdle(mem, 64);
@@ -428,7 +423,6 @@ TEST_F(FaultLadder, HmcLedgerBalancesUnderArmedChecker)
     HmcLikeMemory::Params p;
     p.fault = highRates();
     p.fault.maxRetries = 2;
-    p.fault.retryBackoffTicks = 16;
     HmcLikeMemory mem(p);
 
     const auto events = driveToIdle(mem, 64);
@@ -445,9 +439,7 @@ TEST_F(FaultLadder, CwfPersistentFaultRetiresFastSubChannel)
     p.configName = "RL";
     p.slowDevice = DeviceParams::lpddr2_800();
     p.fastDevice = DeviceParams::rldram3();
-    p.fault.rowFaultRate = 1.0; // every fast row is bad
-    p.fault.scopeSlow = false;  // keep the bulk path clean
-    p.fault.scopeHmc = false;
+    p.fault.rowFaultRate = 1.0; // every row, fast and slow, is bad
     p.fault.degradeThreshold = 1;
     p.fault.seed = 3;
     CwfHeteroMemory mem(p, std::make_unique<StaticLayout>());
@@ -479,6 +471,9 @@ TEST_F(FaultLadder, CwfPersistentFaultRetiresFastSubChannel)
     EXPECT_TRUE(mem.fastSubRetired(0));
     EXPECT_EQ(mem.plannedCriticalWord(0x1000, 3, true), kNoFastWord);
     EXPECT_EQ(mem.faultModel()->ledger().retiredRegions.value(), 1u);
+    // The bulk copy sits in a bad row too: its ladder spent the retry
+    // budget and escalated, and the line was still delivered.
+    EXPECT_GT(mem.faultModel()->ledger().escalated.value(), 0u);
 
     // Second fill to the retired sub is served slow-only: no critical
     // fragment, no parity exposure, completion still delivered.
@@ -503,8 +498,6 @@ TEST_F(FaultLadder, HmcPersistentFaultRetiresVaultCriticalPath)
 {
     HmcLikeMemory::Params p;
     p.fault.rowFaultRate = 1.0;
-    p.fault.scopeFast = false;
-    p.fault.scopeSlow = false; // scopeHmc covers both packet halves
     p.fault.degradeThreshold = 1;
     p.fault.maxRetries = 0; // uncorrectable bulk escalates immediately
     p.fault.seed = 3;
@@ -581,7 +574,8 @@ readFile(const std::string &path)
     return os.str();
 }
 
-/** Golden runs with fault rates set on their SystemParams. */
+/** Golden runs with fault rates set on their SystemParams (never the
+ *  environment: fault injection has no environment knobs). */
 class FaultEnv : public ::testing::Test
 {
   protected:
@@ -611,14 +605,16 @@ TEST_F(FaultEnv, NonzeroBerInjectsIntoGoldenRuns)
     runSimulation(system, spec.run);
     ASSERT_NE(system.backend().faultModel(), nullptr);
     EXPECT_GT(system.backend().faultModel()->ledger().injected.value(), 0u)
-        << "SystemParams::fault must reach the built backend";
+        << "rates set on SystemParams::fault injected nothing in the "
+           "built backend";
 }
 
 TEST_F(FaultEnv, EventAndTickEnginesBitIdenticalAtNonzeroBer)
 {
-    // The main loop's two stepping paths (plain tick and the
-    // HETSIM_PROFILE-timed tick) must schedule retries and backoffs
-    // identically: profiling only observes.
+    // Compares the plain tick against the HETSIM_PROFILE-timed tick,
+    // the main loop's two stepping paths, with faults injected: both
+    // must schedule retries and backoffs identically, since profiling
+    // only observes.
     for (const auto &spec : goldenSpecs()) {
         if (spec.config != MemConfig::CwfRL &&
             spec.config != MemConfig::HmcCdf)
@@ -629,10 +625,14 @@ TEST_F(FaultEnv, EventAndTickEnginesBitIdenticalAtNonzeroBer)
         setenv("HETSIM_PROFILE", "0", 1);
         const GoldenOutcome plain = runGolden(spec, params);
         unsetenv("HETSIM_PROFILE");
-        EXPECT_EQ(profiled.digest, plain.digest) << spec.key;
+        EXPECT_EQ(profiled.digest, plain.digest)
+            << spec.key
+            << ": faulted digest differs between the plain and the "
+               "HETSIM_PROFILE-timed tick";
         EXPECT_EQ(profiled.fullReport, plain.fullReport)
             << spec.key
-            << ": retry/backoff scheduling must not see the loop mode";
+            << ": faulted JSON report differs between the plain and the "
+               "HETSIM_PROFILE-timed tick";
     }
 }
 
@@ -642,8 +642,11 @@ TEST_F(FaultEnv, SameSeedRunsBitIdenticalAtNonzeroBer)
     const SystemParams params = faulted(spec, kNonzero);
     const GoldenOutcome a = runGolden(spec, params);
     const GoldenOutcome b = runGolden(spec, params);
-    EXPECT_EQ(a.digest, b.digest);
-    EXPECT_EQ(a.fullReport, b.fullReport);
+    EXPECT_EQ(a.digest, b.digest)
+        << "two faulted runs with the same SystemParams differ in digest";
+    EXPECT_EQ(a.fullReport, b.fullReport)
+        << "two faulted runs with the same SystemParams differ in JSON "
+           "report";
 }
 
 TEST_F(FaultEnv, ExplicitZeroRatesKeepAllGoldenDigests)
@@ -658,7 +661,9 @@ TEST_F(FaultEnv, ExplicitZeroRatesKeepAllGoldenDigests)
         const std::string expected = readFile(goldenPath(spec.key));
         ASSERT_FALSE(expected.empty())
             << goldenPath(spec.key) << " missing";
-        EXPECT_EQ(expected, got.digest) << spec.key;
+        EXPECT_EQ(expected, got.digest)
+            << spec.key
+            << ": explicit zero fault rates moved the checked-in digest";
     }
 }
 

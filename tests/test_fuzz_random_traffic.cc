@@ -6,8 +6,8 @@
  * produce zero protocol or model-invariant violations.  Two
  * differentials on the same traffic pin the main loop: the plain and
  * self-profiled ticks give element-wise identical lifecycle streams, and
- * runSimulation's windowed run follows a hand-stepped per-tick loop
- * snapshot for snapshot.  CI runs this binary under ASan/UBSan, so the
+ * runSimulation ends on the same tick with the same IPC as a
+ * hand-stepped per-tick loop.  CI runs this binary under ASan/UBSan, so the
  * fuzz also shakes out memory errors in the checker's own bookkeeping.
  */
 
@@ -91,8 +91,8 @@ class FuzzEngineDifferential
 
 TEST_P(FuzzEngineDifferential, EnginesProduceElementWiseIdenticalStreams)
 {
-    // The main loop's two stepping paths — the plain tick and the
-    // self-profiled tick (HETSIM_PROFILE) — on random bursty traffic,
+    // Compares the main loop's two stepping paths — the plain tick and
+    // the HETSIM_PROFILE-timed tick — on random bursty traffic,
     // validator armed: not just matching end reports, but an
     // *element-wise identical* request-lifecycle audit stream (every
     // CoreIssue/MshrAlloc/Enqueue/BankAct/BankCas/FastArrive/EarlyWake/
@@ -139,11 +139,17 @@ TEST_P(FuzzEngineDifferential, EnginesProduceElementWiseIdenticalStreams)
     const auto profiled_events = runOnce(true, profiled_report);
 
     ASSERT_GT(plain_events.size(), 0u);
-    ASSERT_EQ(plain_events.size(), profiled_events.size());
+    ASSERT_EQ(plain_events.size(), profiled_events.size())
+        << "lifecycle stream length differs between the plain and the "
+           "HETSIM_PROFILE-timed tick";
     for (std::size_t i = 0; i < plain_events.size(); ++i)
         ASSERT_EQ(plain_events[i], profiled_events[i])
-            << "loop divergence at stream element " << i;
-    EXPECT_EQ(plain_report, profiled_report);
+            << "plain and HETSIM_PROFILE-timed tick diverge at lifecycle "
+               "stream element "
+            << i;
+    EXPECT_EQ(plain_report, profiled_report)
+        << "JSON report differs between the plain and the "
+           "HETSIM_PROFILE-timed tick";
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -171,23 +177,15 @@ class FuzzBatchDifferential
 
 TEST_P(FuzzBatchDifferential, BatchedCoresMatchPerTickCoresMidRun)
 {
-    // runSimulation's windowed measurement against the same run stepped
-    // here one System::tick() at a time, validator armed.  Beyond the
-    // end state, this pins the *mid-run* trajectory: the snapshot taken
-    // at every 100th completion (fills done, tick, aggregate IPC) must
-    // match runSimulation's window samples exactly.
+    // Compares runSimulation against the same run stepped here one
+    // System::tick() at a time, warmup and measurement, validator
+    // armed: both must end on the same tick with the same demand fills
+    // and aggregate IPC.
     const auto [mem, bench, seed] = GetParam();
-    constexpr std::uint64_t kEvery = 100;
     RunConfig rc;
     rc.measureReads = 600;
     rc.warmupReads = 200;
-    rc.statsWindowEvery = kEvery;
     auto &checker = Checker::instance();
-    const auto snapshot = [](std::uint64_t done, Tick t, double ipc) {
-        std::ostringstream os;
-        os << "done=" << done << " t=" << t << " ipc=" << ipc;
-        return os.str();
-    };
 
     SystemParams p;
     p.mem = mem;
@@ -195,8 +193,8 @@ TEST_P(FuzzBatchDifferential, BatchedCoresMatchPerTickCoresMidRun)
     const auto &profile = workloads::suite::byName(bench);
 
     checker.enable(Mode::Collect);
-    std::vector<std::string> stepped;
     Tick stepped_end = 0;
+    std::uint64_t stepped_reads = 0;
     double stepped_ipc = 0;
     {
         System system(p, profile, 8);
@@ -207,42 +205,36 @@ TEST_P(FuzzBatchDifferential, BatchedCoresMatchPerTickCoresMidRun)
         system.resetStats();
         const std::uint64_t start = stats.demandCompletions.value();
         const Tick deadline = system.now() + rc.maxMeasureTicks;
-        std::uint64_t done = 0, next = kEvery;
-        while (done < rc.measureReads && system.now() < deadline) {
+        while (stats.demandCompletions.value() - start < rc.measureReads &&
+               system.now() < deadline)
             system.tick();
-            done = stats.demandCompletions.value() - start;
-            if (done >= next) {
-                stepped.push_back(
-                    snapshot(done, system.now(), system.aggregateIpc()));
-                next += kEvery;
-            }
-        }
         stepped_end = system.now();
+        stepped_reads = stats.demandCompletions.value();
         stepped_ipc = system.aggregateIpc();
     }
-    std::vector<std::string> windows;
     Tick simulated_end = 0;
+    std::uint64_t simulated_reads = 0;
     double simulated_ipc = 0;
     {
         System system(p, profile, 8);
         const RunResult r = runSimulation(system, rc);
-        EXPECT_GT(r.demandReads, 0u);
-        for (const WindowSample &s : r.windows)
-            windows.push_back(
-                snapshot(s.completedReads, s.endTick, s.aggIpc));
         simulated_end = system.now();
+        simulated_reads = r.demandReads;
         simulated_ipc = r.aggIpc;
     }
     EXPECT_TRUE(checker.violations().empty()) << checker.report();
     checker.disable();
 
-    ASSERT_GT(stepped.size(), 0u);
-    ASSERT_EQ(stepped.size(), windows.size());
-    for (std::size_t i = 0; i < stepped.size(); ++i)
-        ASSERT_EQ(stepped[i], windows[i])
-            << "trajectory divergence at snapshot " << i;
-    EXPECT_EQ(stepped_end, simulated_end);
-    EXPECT_EQ(stepped_ipc, simulated_ipc);
+    EXPECT_GT(simulated_reads, 0u);
+    EXPECT_EQ(stepped_end, simulated_end)
+        << "final tick differs between the per-tick loop and "
+           "runSimulation";
+    EXPECT_EQ(stepped_reads, simulated_reads)
+        << "demand fills differ between the per-tick loop and "
+           "runSimulation";
+    EXPECT_EQ(stepped_ipc, simulated_ipc)
+        << "aggregate IPC differs between the per-tick loop and "
+           "runSimulation";
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -151,27 +151,34 @@ TEST_P(GoldenRun, IdenticalSeedsAreBitIdentical)
 
 TEST_P(GoldenRun, EventAndTickEnginesAreBitIdentical)
 {
-    // The main loop's two stepping paths must be invisible in every
-    // golden artifact: the self-profiled tick (HETSIM_PROFILE) and the
-    // plain tick produce the same digest AND the same full JSON report,
-    // byte for byte.  (runGolden constructs its System fresh, so the
-    // knob is exercised exactly the way a user sets it.)
+    // Compares the plain tick against the HETSIM_PROFILE-timed tick, the
+    // main loop's two stepping paths: both must produce the same digest
+    // AND the same full JSON report, byte for byte.  (runGolden
+    // constructs its System fresh, so the knob is exercised exactly the
+    // way a user sets it.)
     const GoldenSpec &spec = current();
     setenv("HETSIM_PROFILE", "1", 1);
     const GoldenOutcome profiled = runGolden(spec);
     setenv("HETSIM_PROFILE", "0", 1);
     const GoldenOutcome plain = runGolden(spec);
     unsetenv("HETSIM_PROFILE");
-    EXPECT_EQ(profiled.digest, plain.digest) << spec.key;
+    EXPECT_EQ(profiled.digest, plain.digest)
+        << spec.key
+        << ": digest differs between the plain and the "
+           "HETSIM_PROFILE-timed tick";
     EXPECT_EQ(profiled.fullReport, plain.fullReport)
-        << spec.key << ": loop modes must be bit-identical";
+        << spec.key
+        << ": JSON report differs between the plain and the "
+           "HETSIM_PROFILE-timed tick";
 }
 
 TEST_P(GoldenRun, BatchedAndPerTickCoresAreBitIdentical)
 {
-    // runSimulation steps every core on every tick: a golden run whose
-    // warmup is stepped here one System::tick() at a time (and measured
-    // by runSimulation from that state) is byte-identical to runGolden.
+    // Compares a golden run whose warmup is stepped here one
+    // System::tick() at a time (and measured by runSimulation from that
+    // state) against runGolden, whose runSimulation does the warmup
+    // too: runSimulation steps every core on every tick, so the two are
+    // byte-identical.
     const GoldenSpec &spec = current();
     System system(goldenParams(spec),
                   workloads::suite::byName(spec.benchmark), kGoldenCores);
@@ -185,10 +192,13 @@ TEST_P(GoldenRun, BatchedAndPerTickCoresAreBitIdentical)
 
     const GoldenOutcome expected = runGolden(spec);
     EXPECT_EQ(renderGoldenDigest(system, r, spec.run), expected.digest)
-        << spec.key;
+        << spec.key
+        << ": digest differs between a hand-stepped warmup and "
+           "runSimulation's warmup";
     EXPECT_EQ(renderReportJson(system, r), expected.fullReport)
         << spec.key
-        << ": hand-stepped warmup must be bit-identical to runSimulation";
+        << ": JSON report differs between a hand-stepped warmup and "
+           "runSimulation's warmup";
 }
 
 std::string

@@ -154,9 +154,9 @@ struct LoopRun
 
 TEST_P(FastForwardProperty, SkipAheadIsBitIdenticalToPerTickStepping)
 {
-    // runSimulation must never skip or batch: its run is bit-identical
-    // to one whose warmup is stepped here one System::tick() at a time
-    // (runSimulation then measures from the same state).
+    // Compares runSimulation's warmup against one stepped here one
+    // System::tick() at a time (runSimulation then measures from the
+    // same state): runSimulation must never skip or batch a tick.
     const auto [mem, bench, seed] = GetParam();
     const SystemParams p = paramsFor(mem, seed);
     const auto &profile = workloads::suite::byName(bench);
@@ -184,15 +184,20 @@ TEST_P(FastForwardProperty, SkipAheadIsBitIdenticalToPerTickStepping)
 
     const LoopRun stepped = runOnce(true);
     const LoopRun simulated = runOnce(false);
-    EXPECT_EQ(stepped.endTick, simulated.endTick);
-    EXPECT_EQ(stepped.report, simulated.report);
+    EXPECT_EQ(stepped.endTick, simulated.endTick)
+        << "final tick differs between a hand-stepped warmup and "
+           "runSimulation's warmup";
+    EXPECT_EQ(stepped.report, simulated.report)
+        << "JSON report differs between a hand-stepped warmup and "
+           "runSimulation's warmup";
 }
 
 TEST_P(FastForwardProperty, EventEngineIsBitIdenticalToTickEngine)
 {
-    // The self-profiled tick times each component group separately but
-    // must step them exactly like the plain tick — same final tick,
-    // same full report — and count every tick it steps.
+    // Compares the plain tick against the HETSIM_PROFILE-timed tick,
+    // which times each component group separately but must step them
+    // exactly like the plain tick (same final tick, same full report)
+    // and count every tick it steps.
     const auto [mem, bench, seed] = GetParam();
     const SystemParams p = paramsFor(mem, seed);
     const auto &profile = workloads::suite::byName(bench);
@@ -214,11 +219,17 @@ TEST_P(FastForwardProperty, EventEngineIsBitIdenticalToTickEngine)
 
     const LoopRun plain = runOnce(false);
     const LoopRun profiled = runOnce(true);
-    EXPECT_EQ(plain.profiledTicks, 0u);
+    EXPECT_EQ(plain.profiledTicks, 0u)
+        << "the plain tick must not self-profile";
     EXPECT_EQ(profiled.profiledTicks,
-              static_cast<std::uint64_t>(profiled.endTick));
-    EXPECT_EQ(plain.endTick, profiled.endTick);
-    EXPECT_EQ(plain.report, profiled.report);
+              static_cast<std::uint64_t>(profiled.endTick))
+        << "the HETSIM_PROFILE-timed tick must count every tick";
+    EXPECT_EQ(plain.endTick, profiled.endTick)
+        << "final tick differs between the plain and the "
+           "HETSIM_PROFILE-timed tick";
+    EXPECT_EQ(plain.report, profiled.report)
+        << "JSON report differs between the plain and the "
+           "HETSIM_PROFILE-timed tick";
 }
 
 INSTANTIATE_TEST_SUITE_P(

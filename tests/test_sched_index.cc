@@ -237,7 +237,9 @@ class SchedDifferential
 {
 };
 
-// The name records the comparison the pinned digests came from.
+// Compares the FR-FCFS scheduler's command stream on one random plan
+// against the digest recorded for that plan.  The name records the
+// two-scheduler comparison the digests came from.
 TEST_P(SchedDifferential, IndexedMatchesLinearCommandForCommand)
 {
     const auto [kind, ranks, shared_bus, seed] = GetParam();
@@ -255,7 +257,9 @@ TEST_P(SchedDifferential, IndexedMatchesLinearCommandForCommand)
     // Meaningful run: commands actually issued and some were audited.
     EXPECT_GT(out.events.size(), 1000u);
     EXPECT_EQ(digestOf(out), recordedDigest(seed))
-        << "command stream moved; " << out.events.size() << " events\n"
+        << "FR-FCFS command stream differs from the digest recorded for "
+           "plan seed "
+        << seed << "; " << out.events.size() << " events\n"
         << out.stats;
 }
 
