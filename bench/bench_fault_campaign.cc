@@ -2,17 +2,17 @@
  * @file
  * Fault-injection campaign: sweeps the transient bit-error rate (with
  * proportionally scaled double-bit, stuck-cell, row-fault and bus-error
- * rates) across the six golden configurations and reports the
+ * rates) across the five golden configurations and reports the
  * resilience picture — per-class injection counts, the recovery-ladder
  * ledger (corrected / retried / escalated), retired fast regions, the
  * fraction of fills served degraded (slow-only), and the added p50/p99
  * critical-word latency versus the fault-free run of the same config.
  *
  * Every run executes under the armed protocol checker, so the ladder's
- * bookkeeping (no silently dropped fault, no commit on parity fail, HMC
- * packet ordering) is cross-validated while the campaign measures.  The
- * runs are independent and go through the runner's worker pool; rows
- * print in (config, BER) order whatever HETSIM_JOBS is.
+ * bookkeeping (no silently dropped fault, no commit on parity fail) is
+ * cross-validated while the campaign measures.  The runs are
+ * independent and go through the runner's worker pool; rows print in
+ * (config, BER) order whatever HETSIM_JOBS is.
  */
 
 #include <future>

@@ -50,8 +50,10 @@ def run(binary, workload, smoke):
             digests[workload] = digest
     metrics = {}
     for key, metric in result["metrics"].items():
-        workload, name = key.rsplit(".", 1)
-        metrics.setdefault(workload, {})[name] = metric["value"]
+        # One workload's metrics come unprefixed: "cpu_s", not
+        # "cwf_reads.cpu_s".
+        prefix, _, name = key.rpartition(".")
+        metrics.setdefault(prefix or workload, {})[name] = metric["value"]
     return digests, metrics
 
 

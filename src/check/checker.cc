@@ -73,8 +73,6 @@ toString(Rule rule)
         return "early_wake";
       case Rule::FastLead:
         return "fast_lead";
-      case Rule::HmcOrder:
-        return "hmc_order";
       case Rule::MshrLeak:
         return "mshr_leak";
       case Rule::L1HitMshr:
@@ -146,7 +144,6 @@ Checker::clearState()
     channels_.clear();
     mshrLive_.clear();
     cwfLive_.clear();
-    hmcCritical_.clear();
     faultLive_.clear();
 }
 
@@ -731,7 +728,6 @@ Checker::cwfDomainDestroyed(const void *domain)
 {
     std::lock_guard<std::mutex> lock(mutex_);
     eraseDomain(cwfLive_, domain);
-    eraseDomain(hmcCritical_, domain);
 }
 
 // --------------------------------------------------------------------
@@ -849,37 +845,6 @@ Checker::phaseLedger(const std::string &name, const dram::MemRequest &req)
 }
 
 // --------------------------------------------------------------------
-// HMC packet ordering
-// --------------------------------------------------------------------
-
-void
-Checker::hmcDelivery(const void *domain, std::uint64_t id, bool critical,
-                     Tick at)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    const std::string where = "hmc fill " + std::to_string(id);
-    if (critical) {
-        const auto [it, inserted] =
-            hmcCritical_.emplace(std::make_pair(domain, id), at);
-        if (!inserted) {
-            violate(Rule::HmcOrder, at, where,
-                    "duplicate critical packet delivery");
-        }
-        return;
-    }
-    const auto it = hmcCritical_.find({domain, id});
-    if (it == hmcCritical_.end())
-        return; // bulk-only mode (criticalFirst disabled)
-    if (at <= it->second) {
-        violate(Rule::HmcOrder, at, where,
-                "bulk packet at " + std::to_string(at) +
-                    " not strictly after critical packet at " +
-                    std::to_string(it->second));
-    }
-    hmcCritical_.erase(it);
-}
-
-// --------------------------------------------------------------------
 // Fault-injection accounting
 // --------------------------------------------------------------------
 
@@ -938,12 +903,6 @@ Checker::finalizeAll()
                     " never completed");
     }
     cwfLive_.clear();
-    for (const auto &[key, tick] : hmcCritical_) {
-        violate(Rule::HmcOrder, tick,
-                "hmc fill " + std::to_string(key.second),
-                "critical packet delivered but bulk packet never followed");
-    }
-    hmcCritical_.clear();
     for (const auto &[key, tick] : faultLive_) {
         violate(Rule::Fault, tick,
                 "fault " + std::to_string(key.second),

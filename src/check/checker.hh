@@ -7,20 +7,19 @@
  * Two invariant families are covered:
  *
  *  1. DRAM command legality per bank/rank/channel, parameterized from the
- *     channel's own DeviceParams so one checker validates DDR3, LPDDR2,
- *     RLDRAM3 and the HMC vaults alike: tRC, tRCD, tCAS (read data must
- *     trail the column command by exactly tRL), tRAS, tRP, tRRD, the
- *     tFAW sliding window, tCCD, tWTR, tRTP/tWR precharge recovery,
- *     data-bus occupancy/collision and rank-turnaround (tRTRS), refresh
+ *     channel's own DeviceParams so one checker validates DDR3, LPDDR2
+ *     and RLDRAM3 alike: tRC, tRCD, tCAS (read data must trail the
+ *     column command by exactly tRL), tRAS, tRP, tRRD, the tFAW sliding
+ *     window, tCCD, tWTR, tRTP/tWR precharge recovery, data-bus
+ *     occupancy/collision and rank-turnaround (tRTRS), refresh
  *     overlap/spacing, and power-down exit latency (tXP).
  *
  *  2. Model/CWF invariants: early wake never precedes the fast-word
  *     arrival (and never fires on a parity failure), a line never
  *     completes before its fast fragment, fast-word lead is
  *     non-negative, SECDED fires exactly once per completed CWF line,
- *     fragments never duplicate, HMC critical packets are delivered
- *     strictly before their bulk packet, no L1 hit lands on a line with
- *     a live MSHR, and every MSHR allocation is eventually drained (leak
+ *     fragments never duplicate, no L1 hit lands on a line with a live
+ *     MSHR, and every MSHR allocation is eventually drained (leak
  *     detection via finalizeAll()).
  *
  * Cost model mirrors common/trace.hh: when checking is disabled (the
@@ -81,7 +80,6 @@ enum class Rule : std::uint8_t {
     CwfCompletion,   ///< completion tick != max(fast, slow)
     EarlyWake,       ///< wake before fast-word arrival or on bad parity
     FastLead,        ///< line completed before fast fragment / negative lead
-    HmcOrder,        ///< bulk packet delivered at/before its critical packet
     MshrLeak,        ///< MSHR entry never drained (finalizeAll)
     L1HitMshr,       ///< L1 hit on a line with a live MSHR
     PhaseLedger,     ///< phase ledger does not partition [enqueue, complete]
@@ -190,10 +188,6 @@ class Checker
     // ---- latency-attribution phase ledger (stateless) ----
     void phaseLedger(const std::string &name, const dram::MemRequest &req);
 
-    // ---- HMC packet ordering ----
-    void hmcDelivery(const void *domain, std::uint64_t id, bool critical,
-                     Tick at);
-
     // ---- fault-injection accounting (Rule::Fault) ----
     /** A fault entered the system; it must be resolved exactly once. */
     void faultInjected(const void *domain, std::uint64_t fault_id,
@@ -291,7 +285,6 @@ class Checker
     std::map<const void *, ChannelState> channels_;
     std::map<std::pair<const void *, std::uint64_t>, Tick> mshrLive_;
     std::map<std::pair<const void *, std::uint64_t>, FillState> cwfLive_;
-    std::map<std::pair<const void *, std::uint64_t>, Tick> hmcCritical_;
     /** Injected-but-unresolved faults (leak check in finalizeAll). */
     std::map<std::pair<const void *, std::uint64_t>, Tick> faultLive_;
 };
@@ -417,12 +410,6 @@ inline void
 onPhaseLedger(const std::string &name, const dram::MemRequest &req)
 {
     HETSIM_CHECK_HOOK(phaseLedger(name, req));
-}
-
-inline void
-onHmcDelivery(const void *domain, std::uint64_t id, bool critical, Tick at)
-{
-    HETSIM_CHECK_HOOK(hmcDelivery(domain, id, critical, at));
 }
 
 inline void

@@ -62,7 +62,7 @@ Channel::tryIssueFrom(std::vector<ReqPtr> &queue, bool is_write_queue,
         for (std::size_t i = 0; i < queue.size(); ++i) {
             MemRequest &req = *queue[i];
             if (req.enqueue > now)
-                continue; // not yet arrived (packetised front-ends)
+                continue; // enqueued with a future arrival tick
             if (klass(req) != cls)
                 continue;
             Rank &rank = ranks_[req.coord.rank];
@@ -90,7 +90,7 @@ Channel::tryIssueFrom(std::vector<ReqPtr> &queue, bool is_write_queue,
         for (std::size_t i = 0; i < queue.size(); ++i) {
             MemRequest &req = *queue[i];
             if (req.enqueue > now)
-                continue; // not yet arrived (packetised front-ends)
+                continue; // enqueued with a future arrival tick
             if (klass(req) != cls)
                 continue;
             const unsigned bank_id =

@@ -56,8 +56,6 @@ toString(ReadPath path)
     switch (path) {
     case ReadPath::FastCritical: return "fast_critical";
     case ReadPath::SlowBulk: return "slow_bulk";
-    case ReadPath::HmcCritical: return "hmc_critical";
-    case ReadPath::HmcBulk: return "hmc_bulk";
     }
     return "?";
 }
@@ -229,9 +227,7 @@ FaultModel::applyCodec(Injection &inj, Addr line_addr, std::uint64_t seq)
     const bool two_bits = inj.cls == FaultClass::TransientDouble ||
                           inj.cls == FaultClass::RowFault;
 
-    const bool fast_path = inj.path == ReadPath::FastCritical ||
-                           inj.path == ReadPath::HmcCritical;
-    if (fast_path) {
+    if (inj.path == ReadPath::FastCritical) {
         // Byte parity: detect-only.  A double flip must land in two
         // distinct bytes or it would cancel in the per-byte parity.
         const std::uint8_t par = ecc::ByteParity::encode(payload);

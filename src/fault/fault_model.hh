@@ -6,9 +6,8 @@
  * flips, stuck-at cells (persistent per word-site), row-scoped
  * persistent faults (a whole DRAM row gone bad) and bus transfer
  * errors, each with its own rate knob and injected independently on
- * every read path — the fast critical-word channel (byte parity), the
- * slow bulk channel (SECDED or chipkill), and both halves of the HMC
- * packet path.
+ * every read path — the fast critical-word channel (byte parity) and
+ * the slow bulk channel (SECDED or chipkill).
  *
  * Determinism contract: every fault decision is a pure hash of
  * (seed, path, site, per-site access sequence number) — there is no
@@ -62,8 +61,6 @@ const char *toString(FaultClass cls);
 enum class ReadPath : std::uint8_t {
     FastCritical, ///< x9 critical-word channel (byte parity)
     SlowBulk,     ///< rest-of-line + ECC on the slow channel
-    HmcCritical,  ///< HMC high-priority critical packet (CRC-detected)
-    HmcBulk,      ///< HMC full-line packet (ECC in the cube)
 };
 
 const char *toString(ReadPath path);

@@ -17,14 +17,13 @@ const char *const kGoldenBenchmark = "mcf";
 const std::vector<GoldenSpec> &
 goldenSpecs()
 {
-    // The six configurations the paper's headline figures compare.
+    // The five configurations the paper's headline figures compare.
     static const std::vector<GoldenSpec> specs = {
         {MemConfig::BaselineDDR3, "baseline_ddr3"},
         {MemConfig::CwfRD, "cwf_rd"},
         {MemConfig::CwfRL, "cwf_rl"},
         {MemConfig::CwfRLAdaptive, "cwf_rl_ad"},
         {MemConfig::CwfRLOracle, "cwf_rl_or"},
-        {MemConfig::HmcCdf, "hmc_cdf"},
     };
     return specs;
 }

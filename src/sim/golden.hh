@@ -1,11 +1,11 @@
 /**
  * @file
  * Deterministic golden-run regression layer: seeded, fully reproducible
- * runs of the paper's six headline memory configurations (DDR3 baseline,
- * RD, RL, RL AD, RL OR, HMC) and of a small workload matrix, reduced to
- * a canonical digest — IPC, DRAM power/energy, latency and lead-time
- * percentiles — that is compared byte-for-byte against the checked-in
- * JSON baselines under `tests/golden/`.
+ * runs of the paper's five headline memory configurations (DDR3
+ * baseline, RD, RL, RL AD, RL OR) and of a small workload matrix,
+ * reduced to a canonical digest — IPC, DRAM power/energy, latency and
+ * lead-time percentiles — that is compared byte-for-byte against the
+ * checked-in JSON baselines under `tests/golden/`.
  *
  * Digest doubles are rounded to 9 significant digits so the comparison
  * is robust to sub-ulp noise while still catching any real model drift.

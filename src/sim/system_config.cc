@@ -3,7 +3,6 @@
 #include <sstream>
 
 #include "common/log.hh"
-#include "core/hmc_memory.hh"
 #include "dram/dram_params.hh"
 
 namespace hetsim::sim
@@ -35,10 +34,6 @@ toString(MemConfig config)
         return "RL-Malladi";
       case MemConfig::PagePlacement:
         return "PagePlacement";
-      case MemConfig::HmcBaseline:
-        return "HMC";
-      case MemConfig::HmcCdf:
-        return "HMC-CDF";
     }
     return "?";
 }
@@ -46,11 +41,15 @@ toString(MemConfig config)
 MemConfig
 memConfigByName(const std::string &name)
 {
+    std::string valid;
     for (const MemConfig c : allMemConfigs()) {
         if (name == toString(c))
             return c;
+        valid += valid.empty() ? "" : ", ";
+        valid += toString(c);
     }
-    fatal("unknown memory configuration '", name, "'");
+    fatal("unknown memory configuration '", name,
+          "'; valid configurations: ", valid);
 }
 
 std::vector<MemConfig>
@@ -61,8 +60,7 @@ allMemConfigs()
             MemConfig::CwfRL,         MemConfig::CwfDL,
             MemConfig::CwfRLAdaptive, MemConfig::CwfRLOracle,
             MemConfig::CwfRLRandom,   MemConfig::CwfRLMalladi,
-            MemConfig::PagePlacement, MemConfig::HmcBaseline,
-            MemConfig::HmcCdf};
+            MemConfig::PagePlacement};
 }
 
 std::string
@@ -211,14 +209,6 @@ buildBackend(const SystemParams &params)
         p.channels = 3;
         p.hotDevice = dram::DeviceParams::rldram3();
         return std::make_unique<cwf::HomogeneousMemory>(p, params.hotPages);
-      }
-      case MemConfig::HmcBaseline:
-      case MemConfig::HmcCdf: {
-        cwf::HmcLikeMemory::Params p;
-        p.criticalFirst = params.mem == MemConfig::HmcCdf;
-        p.configName = toString(params.mem);
-        p.fault = faultFor(params);
-        return std::make_unique<cwf::HmcLikeMemory>(p);
       }
     }
     panic("unhandled memory configuration");

@@ -35,9 +35,6 @@ enum class MemConfig : std::uint8_t {
     CwfRLRandom,
     CwfRLMalladi,
     PagePlacement,
-    /** Section 10 future-work sketch: packetised HMC-like cube. */
-    HmcBaseline,
-    HmcCdf,
 };
 
 const char *toString(MemConfig config);

@@ -6,19 +6,18 @@
  *    classes, different seed => different sites; zero rates => the
  *    model is disabled outright and makes zero draws;
  *  - codec-truth: detected/correctable come from the real codecs
- *    (byte parity detect-only on the fast paths, SECDED corrects
+ *    (byte parity detect-only on the fast path, SECDED corrects
  *    singles and detects doubles, chipkill corrects a whole symbol);
  *  - recovery-ladder accounting: driving every backend family at high
  *    rates until drain leaves the ledger balanced
  *    (injected = corrected + retried + escalated) with the protocol
  *    checker armed and clean;
  *  - graceful degradation: repeated persistent faults retire the fast
- *    sub-channel (CWF) / the vault's critical-first split (HMC) and
- *    subsequent fills are served slow-only;
+ *    sub-channel (CWF) and subsequent fills are served slow-only;
  *  - determinism at nonzero BER: same-seed runs produce bit-identical
  *    digests and full reports, and a pinned degraded-mode run matches
  *    its checked-in golden digest;
- *  - zero-rate guarantee: explicit zero rates leave all six golden
+ *  - zero-rate guarantee: explicit zero rates leave all five golden
  *    digests byte-identical to the checked-in baselines, and no
  *    environment variable reaches a run's fault knobs.
  */
@@ -35,7 +34,6 @@
 
 #include "check/checker.hh"
 #include "core/hetero_memory.hh"
-#include "core/hmc_memory.hh"
 #include "dram/dram_params.hh"
 #include "fault/fault_model.hh"
 #include "sim/golden.hh"
@@ -62,9 +60,8 @@ std::vector<Obs>
 observe(fault::FaultModel &model)
 {
     std::vector<Obs> out;
-    const fault::ReadPath paths[] = {
-        fault::ReadPath::FastCritical, fault::ReadPath::SlowBulk,
-        fault::ReadPath::HmcCritical, fault::ReadPath::HmcBulk};
+    const fault::ReadPath paths[] = {fault::ReadPath::FastCritical,
+                                     fault::ReadPath::SlowBulk};
     for (const auto path : paths) {
         for (std::uint64_t line = 0; line < 32; ++line) {
             dram::DramCoord coord;
@@ -418,19 +415,6 @@ TEST_F(FaultLadder, HomogeneousLedgerBalancesUnderArmedChecker)
     expectLadderClean(*mem.faultModel(), "homogeneous");
 }
 
-TEST_F(FaultLadder, HmcLedgerBalancesUnderArmedChecker)
-{
-    HmcLikeMemory::Params p;
-    p.fault = highRates();
-    p.fault.maxRetries = 2;
-    HmcLikeMemory mem(p);
-
-    const auto events = driveToIdle(mem, 64);
-    EXPECT_EQ(countKind(events, Event::Complete), 64u);
-    EXPECT_LE(countKind(events, Event::Critical), 64u);
-    expectLadderClean(*mem.faultModel(), "hmc");
-}
-
 // -------------------------------------------------- degraded service
 
 TEST_F(FaultLadder, CwfPersistentFaultRetiresFastSubChannel)
@@ -487,60 +471,6 @@ TEST_F(FaultLadder, CwfPersistentFaultRetiresFastSubChannel)
     EXPECT_EQ(events[0].kind, Event::Complete);
     EXPECT_EQ(mem.faultModel()->ledger().degradedFills.value(), 1u);
     EXPECT_GE(mem.faultModel()->degradedLatency().total(), 1u);
-    EXPECT_TRUE(mem.faultModel()->ledgerBalanced());
-
-    Checker::instance().finalizeAll();
-    EXPECT_TRUE(Checker::instance().violations().empty())
-        << Checker::instance().report();
-}
-
-TEST_F(FaultLadder, HmcPersistentFaultRetiresVaultCriticalPath)
-{
-    HmcLikeMemory::Params p;
-    p.fault.rowFaultRate = 1.0;
-    p.fault.degradeThreshold = 1;
-    p.fault.maxRetries = 0; // uncorrectable bulk escalates immediately
-    p.fault.seed = 3;
-    HmcLikeMemory mem(p);
-
-    std::vector<Event> events;
-    mem.setCallbacks(MemoryBackend::Callbacks{
-        [&](std::uint64_t id, Tick at, bool ok) {
-            events.push_back(Event{Event::Critical, id, at, ok});
-        },
-        [&](std::uint64_t id, Tick at) {
-            events.push_back(Event{Event::Complete, id, at, true});
-        },
-    });
-
-    EXPECT_FALSE(mem.degradedMode());
-    mem.requestFill(MemoryBackend::FillRequest{0x1000, 0, false, 0, 1}, 0);
-    for (Tick t = 0; t <= 20000; ++t)
-        mem.tick(t);
-
-    ASSERT_EQ(events.size(), 2u);
-    EXPECT_EQ(events[0].kind, Event::Critical);
-    EXPECT_FALSE(events[0].parityOk)
-        << "the corrupted critical packet must not early-wake";
-    EXPECT_LT(events[0].at, events[1].at);
-
-    EXPECT_TRUE(mem.degradedMode());
-    EXPECT_EQ(mem.faultModel()->ledger().retiredRegions.value(), 1u);
-    unsigned retired = 0;
-    for (unsigned v = 0; v < mem.vaultCount(); ++v)
-        retired += mem.vaultCriticalRetired(v);
-    EXPECT_EQ(retired, 1u);
-    EXPECT_EQ(mem.plannedCriticalWord(0x1000, 3, true), kNoFastWord);
-
-    // Second fill to the retired vault: single full packet, no critical.
-    events.clear();
-    mem.requestFill(MemoryBackend::FillRequest{0x1000, 0, false, 0, 2},
-                    30000);
-    for (Tick t = 30000; t <= 60000; ++t)
-        mem.tick(t);
-    ASSERT_EQ(events.size(), 1u);
-    EXPECT_EQ(events[0].kind, Event::Complete);
-    EXPECT_EQ(mem.faultModel()->ledger().degradedFills.value(), 1u);
     EXPECT_TRUE(mem.faultModel()->ledgerBalanced());
 
     Checker::instance().finalizeAll();
@@ -617,8 +547,8 @@ TEST_F(FaultEnv, EventAndTickEnginesBitIdenticalAtNonzeroBer)
     // only observes.
     for (const auto &spec : goldenSpecs()) {
         if (spec.config != MemConfig::CwfRL &&
-            spec.config != MemConfig::HmcCdf)
-            continue; // one CWF and one HMC config keep the test fast
+            spec.config != MemConfig::BaselineDDR3)
+            continue; // a CWF and a whole-line backend keep it fast
         const SystemParams params = faulted(spec, kNonzero);
         setenv("HETSIM_PROFILE", "1", 1);
         const GoldenOutcome profiled = runGolden(spec, params);
@@ -654,7 +584,7 @@ TEST_F(FaultEnv, ExplicitZeroRatesKeepAllGoldenDigests)
     if (regenRequested())
         GTEST_SKIP() << "baselines being regenerated";
     // Explicit zeros must be indistinguishable from an absent subsystem:
-    // all six digests stay byte-identical to the checked-in baselines.
+    // all five digests stay byte-identical to the checked-in baselines.
     for (const auto &spec : goldenSpecs()) {
         const GoldenOutcome got =
             runGolden(spec, faulted(spec, {0, 0, 0, 0, 0}));

@@ -71,8 +71,7 @@ INSTANTIATE_TEST_SUITE_P(
         std::make_tuple(MemConfig::CwfRL, "mcf", 0xbeefULL),
         std::make_tuple(MemConfig::CwfRL, "omnetpp", 7ULL),
         std::make_tuple(MemConfig::CwfRLAdaptive, "leslie3d", 11ULL),
-        std::make_tuple(MemConfig::CwfRD, "xalancbmk", 13ULL),
-        std::make_tuple(MemConfig::HmcCdf, "libquantum", 17ULL)),
+        std::make_tuple(MemConfig::CwfRD, "xalancbmk", 13ULL)),
     [](const auto &info) {
         std::string name = std::string(toString(std::get<0>(info.param))) +
                            "_" + std::get<1>(info.param);
@@ -157,8 +156,7 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(
         std::make_tuple(MemConfig::BaselineDDR3, "milc", 0xfeedULL),
         std::make_tuple(MemConfig::CwfRL, "mcf", 0xbeefULL),
-        std::make_tuple(MemConfig::CwfRLAdaptive, "leslie3d", 11ULL),
-        std::make_tuple(MemConfig::HmcCdf, "libquantum", 17ULL)),
+        std::make_tuple(MemConfig::CwfRLAdaptive, "leslie3d", 11ULL)),
     [](const auto &info) {
         std::string name = std::string(toString(std::get<0>(info.param))) +
                            "_" + std::get<1>(info.param);
@@ -242,8 +240,7 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(
         std::make_tuple(MemConfig::BaselineDDR3, "milc", 0xfeedULL),
         std::make_tuple(MemConfig::CwfRL, "mcf", 0xbeefULL),
-        std::make_tuple(MemConfig::CwfRLAdaptive, "leslie3d", 11ULL),
-        std::make_tuple(MemConfig::HmcCdf, "libquantum", 17ULL)),
+        std::make_tuple(MemConfig::CwfRLAdaptive, "leslie3d", 11ULL)),
     [](const auto &info) {
         std::string name = std::string(toString(std::get<0>(info.param))) +
                            "_" + std::get<1>(info.param);

@@ -1,6 +1,6 @@
 /**
  * @file
- * Golden-run regression: each of the paper's six headline configurations
+ * Golden-run regression: each of the paper's five headline configurations
  * (mcf on 8 cores) plus a small workload matrix (goldenMatrixSpecs) is
  * run with a pinned seed/workload/window, reduced to a canonical digest
  * and compared byte-for-byte against `tests/golden/<key>.json`.
@@ -213,9 +213,9 @@ INSTANTIATE_TEST_SUITE_P(PaperConfigs, GoldenRun,
 INSTANTIATE_TEST_SUITE_P(Matrix, GoldenRun,
                          ::testing::ValuesIn(casesOf(true)), caseName);
 
-TEST(GoldenSuite, CoversSixConfigs)
+TEST(GoldenSuite, CoversFiveConfigs)
 {
-    EXPECT_EQ(goldenSpecs().size(), 6u);
+    EXPECT_EQ(goldenSpecs().size(), 5u);
 }
 
 TEST(GoldenSuite, InjectedBackendMatchesTheBuiltOne)

@@ -123,7 +123,7 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(MemConfig::BaselineDDR3, MemConfig::HomoRLDRAM3,
                       MemConfig::HomoLPDDR2, MemConfig::CwfRD,
                       MemConfig::CwfRL, MemConfig::CwfRLAdaptive,
-                      MemConfig::PagePlacement, MemConfig::HmcCdf),
+                      MemConfig::PagePlacement),
     [](const auto &info) { return paramName(toString(info.param)); });
 
 // --------------------------------------------------------------------
@@ -241,7 +241,6 @@ INSTANTIATE_TEST_SUITE_P(
         std::make_tuple(MemConfig::CwfRD, "xalancbmk", 13ULL),
         std::make_tuple(MemConfig::CwfRLAdaptive, "leslie3d", 11ULL),
         std::make_tuple(MemConfig::PagePlacement, "omnetpp", 23ULL),
-        std::make_tuple(MemConfig::HmcCdf, "libquantum", 17ULL),
         // Low-MPKI workload: long stretches with nothing in flight.
         std::make_tuple(MemConfig::BaselineDDR3, "ep", 5ULL)),
     [](const auto &info) {

@@ -1,6 +1,6 @@
 /**
  * @file
- * Determinism of the parallel sweep engine: running the six golden
+ * Determinism of the parallel sweep engine: running the five golden
  * configurations through ExperimentRunner::prefetch() on four worker
  * threads must produce RunResults — and exported JSON reports —
  * bit-identical to a one-worker (serial-equivalent) runner.  Results
@@ -197,7 +197,7 @@ class SweepFailure : public ::testing::Test
         std::vector<RunSpec> specs;
         for (const MemConfig cfg :
              {MemConfig::BaselineDDR3, MemConfig::CwfRL,
-              MemConfig::HmcCdf}) {
+              MemConfig::CwfRD}) {
             SystemParams p = ExperimentRunner::paramsFor(cfg);
             p.seed = kGoldenSeed;
             specs.push_back(RunSpec{p, kGoldenBenchmark, kGoldenCores});

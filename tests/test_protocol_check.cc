@@ -4,9 +4,9 @@
  * streams with deliberately injected violations (a fifth activate inside
  * the tFAW window, tRC/bank-state abuse, data-bus collisions, malformed
  * CAS shapes) and model-invariant abuses (premature early wakes, MSHR
- * leaks, HMC bulk-before-critical, double SECDED) must each be caught
- * and attributed to the right rule — proving the checker would actually
- * fire if the scheduler or the CWF plumbing regressed.
+ * leaks, double SECDED) must each be caught and attributed to the right
+ * rule — proving the checker would actually fire if the scheduler or the
+ * CWF plumbing regressed.
  */
 
 #include <gtest/gtest.h>
@@ -201,15 +201,6 @@ TEST_F(ProtocolCheck, L1HitOnLineWithLiveMshrIsCaught)
     });
     EXPECT_FALSE(probed);
     EXPECT_EQ(checker().count(Rule::L1HitMshr), 1u);
-}
-
-TEST_F(ProtocolCheck, HmcBulkAtOrBeforeCriticalIsCaught)
-{
-    checker().hmcDelivery(&chan_, 1, /*critical=*/true, 40);
-    checker().hmcDelivery(&chan_, 1, /*critical=*/false, 40); // not after
-    checker().hmcDelivery(&chan_, 2, true, 50);
-    checker().hmcDelivery(&chan_, 2, false, 60); // strictly after: legal
-    EXPECT_EQ(checker().count(Rule::HmcOrder), 1u) << checker().report();
 }
 
 TEST_F(ProtocolCheck, DoubleSecdedPerLineIsCaught)

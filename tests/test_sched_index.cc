@@ -45,7 +45,7 @@ namespace
 struct Injection
 {
     Tick at = 0;          ///< tick the enqueue call is made
-    Tick arrivalDelay = 0; ///< packetised front-ends enqueue into the future
+    Tick arrivalDelay = 0; ///< enqueue tick this far into the future
     unsigned chan = 0;
     MemRequest req;
 };
@@ -78,8 +78,8 @@ makePlan(const DeviceParams &dev, unsigned ranks, unsigned nchan,
             t += rng.below(40);
         Injection inj;
         inj.at = t;
-        // A slice of traffic arrives with a future enqueue tick, the way
-        // packetised front-ends (HMC vaults) deliver transactions.
+        // A slice of traffic is enqueued with a future arrival tick,
+        // which the scheduler must not issue before it arrives.
         if (rng.chance(0.15))
             inj.arrivalDelay = 1 + rng.below(200);
         inj.chan = nchan > 1 ? static_cast<unsigned>(rng.below(nchan)) : 0;

@@ -31,14 +31,27 @@ TEST(MemConfigNames, RoundTrip)
 
 TEST(MemConfigNames, UnknownIsFatal)
 {
+    // A mistyped or retired name stops up front and lists the valid ones.
     setLogThrowOnError(true);
-    EXPECT_THROW(memConfigByName("bogus"), SimError);
+    for (const char *name : {"bogus", "HMC-CDF"}) {
+        try {
+            memConfigByName(name);
+            ADD_FAILURE() << name << " was accepted";
+        } catch (const SimError &e) {
+            EXPECT_NE(e.message.find(name), std::string::npos) << e.message;
+            EXPECT_NE(e.message.find("valid configurations: DDR3, "),
+                      std::string::npos)
+                << e.message;
+            EXPECT_NE(e.message.find(", RL, "), std::string::npos)
+                << e.message;
+        }
+    }
     setLogThrowOnError(false);
 }
 
-TEST(MemConfigNames, CoversThirteenConfigs)
+TEST(MemConfigNames, CoversElevenConfigs)
 {
-    EXPECT_EQ(allMemConfigs().size(), 13u);
+    EXPECT_EQ(allMemConfigs().size(), 11u);
 }
 
 TEST(BuildBackend, EveryConfigConstructs)
@@ -81,10 +94,6 @@ TEST(BuildBackend, CwfConfigsUseExpectedLayouts)
     EXPECT_EQ(planned(MemConfig::BaselineDDR3, 0x1000, 5),
               cwf::kNoFastWord);
     EXPECT_EQ(planned(MemConfig::PagePlacement, 0x1000, 5),
-              cwf::kNoFastWord);
-    // The HMC sketch rides the requested word on a priority packet.
-    EXPECT_EQ(planned(MemConfig::HmcCdf, 0x1000, 5), 5u);
-    EXPECT_EQ(planned(MemConfig::HmcBaseline, 0x1000, 5),
               cwf::kNoFastWord);
 }
 
