@@ -88,7 +88,6 @@ void sec61_no_prefetcher(sim::ExperimentRunner &runner);
 void sec71_page_placement(sim::ExperimentRunner &runner);
 void sec72_malladi_lpdram(sim::ExperimentRunner &runner);
 void ablation_fast_channel(sim::ExperimentRunner &runner);
-void fault_campaign(sim::ExperimentRunner &runner);
 
 } // namespace hetsim::bench
 

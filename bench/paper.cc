@@ -53,7 +53,6 @@ const Section kSections[] = {
     {"sec71_page_placement", bench::sec71_page_placement},
     {"sec72_malladi_lpdram", bench::sec72_malladi_lpdram},
     {"ablation_fast_channel", bench::ablation_fast_channel},
-    {"fault_campaign", bench::fault_campaign},
 };
 
 const Section &

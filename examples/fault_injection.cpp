@@ -103,7 +103,7 @@ systemWithParityErrors()
              "demand fills", "aggregate IPC"});
     for (const double rate : {0.0, 0.01, 0.25, 1.0}) {
         SystemParams p = ExperimentRunner::paramsFor(MemConfig::CwfRL);
-        p.fault.fastExtraTransient = rate;
+        p.fault.parityFailRate = rate;
         System system(p, workloads::suite::byName("leslie3d"), 8);
         RunConfig rc;
         rc.measureReads = 3000;

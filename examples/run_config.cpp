@@ -4,7 +4,7 @@
  * workload (synthetic or trace file), run one warmup plus measurement
  * window and dump the full gem5-style statistics report.  Settings come
  * from key=value arguments only; the HETSIM_* environment knobs keep
- * their library meaning (tracing, checking, profiling, fault injection).
+ * their library meaning (tracing, checking, profiling).
  * With HETSIM_PROFILE=1 the report is followed by the main loop's
  * per-component host-time split.
  *
@@ -44,7 +44,7 @@ main(int argc, char **argv)
     params.cores =
         static_cast<unsigned>(cfg.getUint("cores", params.cores));
     params.prefetcherEnabled = cfg.getBool("prefetch", true);
-    params.fault.fastExtraTransient = cfg.getDouble("parity.rate", 0.0);
+    params.fault.parityFailRate = cfg.getDouble("parity.rate", 0.0);
     params.seed = cfg.getUint("seed", params.seed);
 
     std::unique_ptr<System> system;

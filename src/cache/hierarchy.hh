@@ -109,7 +109,7 @@ class Hierarchy
         Counter secondAccesses;
         Counter secondBeforeComplete;
         /** Requested-word latency distribution (same samples as the
-         *  criticalWordLatency average; p50/p99 for fault campaigns). */
+         *  criticalWordLatency average). */
         Histogram criticalWordLatencyHist{4.0, 512};
         /** Fast-vs-slow fragment arrival gap distribution, ticks. */
         Histogram fastLeadHist{4.0, 512};

@@ -615,8 +615,7 @@ Checker::mshrDomainDestroyed(const void *domain)
 // --------------------------------------------------------------------
 
 void
-Checker::cwfFillIssued(const void *domain, std::uint64_t id, Tick at,
-                       bool has_fast)
+Checker::cwfFillIssued(const void *domain, std::uint64_t id, Tick at)
 {
     std::lock_guard<std::mutex> lock(mutex_);
     const auto [it, inserted] =
@@ -628,7 +627,6 @@ Checker::cwfFillIssued(const void *domain, std::uint64_t id, Tick at,
         return;
     }
     it->second.issued = at;
-    it->second.hasFast = has_fast;
 }
 
 void
@@ -680,40 +678,15 @@ Checker::cwfComplete(const void *domain, std::uint64_t id, Tick fast_tick,
         return;
     }
     const FillState &fill = it->second;
-    if (!fill.hasFast) {
-        // Degraded slow-only fill: no fast fragment is ever expected
-        // and completion is defined by the slow fragment alone.
-        if (fill.slowTick == kTickNever) {
-            violate(Rule::CwfCompletion, done_tick,
-                    "fill " + std::to_string(id),
-                    "slow-only fill completed before its slow fragment");
-        }
-        if (fill.fastTick != kTickNever) {
-            violate(Rule::CwfFragment, done_tick,
-                    "fill " + std::to_string(id),
-                    "slow-only fill received a fast fragment at " +
-                        std::to_string(fill.fastTick));
-        }
-        if (done_tick != slow_tick) {
-            violate(Rule::CwfCompletion, done_tick,
-                    "fill " + std::to_string(id),
-                    "slow-only completion tick " +
-                        std::to_string(done_tick) + " != slow " +
-                        std::to_string(slow_tick));
-        }
-    } else {
-        if (fill.fastTick == kTickNever || fill.slowTick == kTickNever) {
-            violate(Rule::CwfCompletion, done_tick,
-                    "fill " + std::to_string(id),
-                    "completed before both fragments arrived");
-        }
-        if (done_tick != std::max(fast_tick, slow_tick)) {
-            violate(Rule::CwfCompletion, done_tick,
-                    "fill " + std::to_string(id),
-                    "completion tick " + std::to_string(done_tick) +
-                        " != max(fast " + std::to_string(fast_tick) +
-                        ", slow " + std::to_string(slow_tick) + ")");
-        }
+    if (fill.fastTick == kTickNever || fill.slowTick == kTickNever) {
+        violate(Rule::CwfCompletion, done_tick, "fill " + std::to_string(id),
+                "completed before both fragments arrived");
+    }
+    if (done_tick != std::max(fast_tick, slow_tick)) {
+        violate(Rule::CwfCompletion, done_tick, "fill " + std::to_string(id),
+                "completion tick " + std::to_string(done_tick) +
+                    " != max(fast " + std::to_string(fast_tick) +
+                    ", slow " + std::to_string(slow_tick) + ")");
     }
     if (fill.secdedChecks != 1) {
         violate(Rule::CwfSecded, done_tick, "fill " + std::to_string(id),
@@ -850,28 +823,25 @@ Checker::phaseLedger(const std::string &name, const dram::MemRequest &req)
 
 void
 Checker::faultInjected(const void *domain, std::uint64_t fault_id,
-                       const char *cls, Tick at)
+                       Tick at)
 {
     std::lock_guard<std::mutex> lock(mutex_);
     const auto [it, inserted] =
         faultLive_.emplace(std::make_pair(domain, fault_id), at);
     if (!inserted) {
         violate(Rule::Fault, at, "fault " + std::to_string(fault_id),
-                std::string("duplicate injection of fault id (class ") +
-                    cls + ")");
+                "duplicate injection of fault id");
     }
 }
 
 void
-Checker::faultResolved(const void *domain, std::uint64_t fault_id,
-                       const char *resolution, Tick at)
+Checker::faultResolved(const void *domain, std::uint64_t fault_id, Tick at)
 {
     std::lock_guard<std::mutex> lock(mutex_);
     if (faultLive_.erase({domain, fault_id}) == 0) {
         violate(Rule::Fault, at, "fault " + std::to_string(fault_id),
-                std::string("resolution '") + resolution +
-                    "' for a fault that is not live (double-resolve or "
-                    "never injected)");
+                "resolution of a fault that is not live (double-resolve "
+                "or never injected)");
     }
 }
 
@@ -907,8 +877,7 @@ Checker::finalizeAll()
         violate(Rule::Fault, tick,
                 "fault " + std::to_string(key.second),
                 "fault injected at tick " + std::to_string(tick) +
-                    " never resolved (must be corrected, retried, or "
-                    "escalated)");
+                    " never resolved (the line never completed)");
     }
     faultLive_.clear();
 }

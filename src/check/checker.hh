@@ -164,10 +164,7 @@ class Checker
     void mshrDomainDestroyed(const void *domain);
 
     // ---- CWF two-fragment fill protocol ----
-    /** @p has_fast is false for degraded (slow-only) fills, which are
-     *  exempt from the fast-fragment and SECDED-pairing rules. */
-    void cwfFillIssued(const void *domain, std::uint64_t id, Tick at,
-                       bool has_fast = true);
+    void cwfFillIssued(const void *domain, std::uint64_t id, Tick at);
     void cwfFragment(const void *domain, std::uint64_t id, bool fast,
                      Tick at);
     void cwfSecded(const void *domain, std::uint64_t id, Tick at);
@@ -191,10 +188,10 @@ class Checker
     // ---- fault-injection accounting (Rule::Fault) ----
     /** A fault entered the system; it must be resolved exactly once. */
     void faultInjected(const void *domain, std::uint64_t fault_id,
-                       const char *cls, Tick at);
-    /** The recovery ladder disposed of fault @p fault_id. */
+                       Tick at);
+    /** Fault @p fault_id was served off the ECC-protected line. */
     void faultResolved(const void *domain, std::uint64_t fault_id,
-                       const char *resolution, Tick at);
+                       Tick at);
     void faultDomainDestroyed(const void *domain);
 
     Checker(const Checker &) = delete;
@@ -256,7 +253,6 @@ class Checker
         Tick fastTick = kTickNever;
         Tick slowTick = kTickNever;
         unsigned secdedChecks = 0;
-        bool hasFast = true; ///< false: degraded slow-only fill
     };
 
     ChannelState &stateFor(const void *chan, const std::string &name,
@@ -350,10 +346,9 @@ onMshrDomainDestroyed(const void *domain)
 }
 
 inline void
-onCwfFillIssued(const void *domain, std::uint64_t id, Tick at,
-                bool has_fast = true)
+onCwfFillIssued(const void *domain, std::uint64_t id, Tick at)
 {
-    HETSIM_CHECK_HOOK(cwfFillIssued(domain, id, at, has_fast));
+    HETSIM_CHECK_HOOK(cwfFillIssued(domain, id, at));
 }
 
 inline void
@@ -413,17 +408,15 @@ onPhaseLedger(const std::string &name, const dram::MemRequest &req)
 }
 
 inline void
-onFaultInjected(const void *domain, std::uint64_t fault_id, const char *cls,
-                Tick at)
+onFaultInjected(const void *domain, std::uint64_t fault_id, Tick at)
 {
-    HETSIM_CHECK_HOOK(faultInjected(domain, fault_id, cls, at));
+    HETSIM_CHECK_HOOK(faultInjected(domain, fault_id, at));
 }
 
 inline void
-onFaultResolved(const void *domain, std::uint64_t fault_id,
-                const char *resolution, Tick at)
+onFaultResolved(const void *domain, std::uint64_t fault_id, Tick at)
 {
-    HETSIM_CHECK_HOOK(faultResolved(domain, fault_id, resolution, at));
+    HETSIM_CHECK_HOOK(faultResolved(domain, fault_id, at));
 }
 
 inline void

@@ -61,8 +61,6 @@ toString(Event event)
         return "secded_check";
       case Event::PhaseSpan:
         return "phase_span";
-      case Event::FaultRetry:
-        return "fault_retry";
     }
     return "?";
 }

@@ -50,8 +50,6 @@ enum class Event : std::uint8_t {
     SecdedCheck,   ///< SECDED checked on the rest-of-line fragment
     PhaseSpan,     ///< latency-attribution phase interval (detail =
                    ///< attrib::Phase, aux = duration in ticks)
-    FaultRetry,    ///< uncorrectable bulk error parked a backed-off
-                   ///< re-read; the fragment was not accepted
 };
 
 const char *toString(Event event);

@@ -35,8 +35,7 @@ CwfHeteroMemory::CwfHeteroMemory(const Params &params,
       fast_(params.fastDevice, params.fastSubChannels,
             params.ranksPerFastSub, params.fastChipsPerRank, params.sched,
             params.sharedCommandBus),
-      faultModel_(params.fault), retryLadder_(faultModel_),
-      subDegraded_(params.fastSubChannels, false)
+      faultModel_(params.fault, params.seed)
 {
     sim_assert(layout_, "CWF memory needs a line layout");
     sim_assert(params_.slowChannels == params_.fastSubChannels,
@@ -72,13 +71,6 @@ CwfHeteroMemory::plannedCriticalWord(Addr line_addr,
                                      unsigned requested_word,
                                      bool is_demand)
 {
-    // Degraded mode: a retired fast sub-channel no longer serves
-    // critical words, so its lines are not fragmented.  Degradation
-    // only flips inside backend tick callbacks, never between this call
-    // and the requestFill of the same access, so plan and issue agree.
-    if (retiredSubs_ != 0 &&
-        subDegraded_[fastSubOf(line_addr >> kLineShift)])
-        return kNoFastWord;
     return layout_->plannedWord(line_addr, requested_word, is_demand);
 }
 
@@ -104,13 +96,8 @@ bool
 CwfHeteroMemory::canAcceptFill(Addr line_addr) const
 {
     const std::uint64_t line = line_addr >> kLineShift;
-    const unsigned slow_ch = slowMap_.channelOf(line);
-    const unsigned sub = fastSubOf(line);
-    if (!slow_[slow_ch]->canAccept(AccessType::Read))
-        return false;
-    // A degraded line is served slow-only; the retired fast sub-channel
-    // exerts no backpressure on it.
-    return subDegraded_[sub] || fast_.sub(sub).canAccept(AccessType::Read);
+    return slow_[slowMap_.channelOf(line)]->canAccept(AccessType::Read) &&
+           fast_.sub(fastSubOf(line)).canAccept(AccessType::Read);
 }
 
 void
@@ -119,14 +106,9 @@ CwfHeteroMemory::requestFill(const FillRequest &request, Tick now)
     const std::uint64_t line = request.lineAddr >> kLineShift;
     const AccessType type =
         request.isPrefetch ? AccessType::Prefetch : AccessType::Read;
-    const bool degraded = subDegraded_[fastSubOf(line)];
 
-    PendingFill fill;
-    fill.slowOnly = degraded;
-    fill.issued = now;
-    pending_.emplace(request.mshrId, fill);
-    check::onCwfFillIssued(this, request.mshrId, now,
-                           /*has_fast=*/!degraded);
+    pending_.emplace(request.mshrId, PendingFill{});
+    check::onCwfFillIssued(this, request.mshrId, now);
 
     dram::MemRequest slow_req;
     slow_req.id = nextReqId_++;
@@ -137,11 +119,6 @@ CwfHeteroMemory::requestFill(const FillRequest &request, Tick now)
     slow_req.part = dram::MemRequest::kRestPart;
     slow_req.coord = slowMap_.decode(line);
     slow_[slow_req.coord.channel]->enqueue(slow_req, now);
-
-    if (degraded) {
-        faultModel_.noteDegradedFill();
-        return;
-    }
 
     dram::MemRequest fast_req;
     fast_req.id = nextReqId_++;
@@ -158,11 +135,8 @@ bool
 CwfHeteroMemory::canAcceptWriteback(Addr line_addr) const
 {
     const std::uint64_t line = line_addr >> kLineShift;
-    const unsigned slow_ch = slowMap_.channelOf(line);
-    const unsigned sub = fastSubOf(line);
-    if (!slow_[slow_ch]->canAccept(AccessType::Write))
-        return false;
-    return subDegraded_[sub] || fast_.sub(sub).canAccept(AccessType::Write);
+    return slow_[slowMap_.channelOf(line)]->canAccept(AccessType::Write) &&
+           fast_.sub(fastSubOf(line)).canAccept(AccessType::Write);
 }
 
 void
@@ -182,11 +156,6 @@ CwfHeteroMemory::requestWriteback(Addr line_addr, Tick now)
     slow_req.coord = slowMap_.decode(line);
     slow_[slow_req.coord.channel]->enqueue(slow_req, now);
 
-    // The retired fast copy of a degraded line is out of service; the
-    // slow channel holds the authoritative data.
-    if (subDegraded_[fastSubOf(line)])
-        return;
-
     dram::MemRequest fast_req;
     fast_req.id = nextReqId_++;
     fast_req.lineAddr = line_addr;
@@ -205,23 +174,6 @@ CwfHeteroMemory::onSlowResponse(dram::MemRequest &req)
     sim_assert(it != pending_.end(), "slow response without pending fill");
     PendingFill &p = it->second;
     sim_assert(!p.slowDone, "duplicate slow fragment");
-
-    // Recovery ladder (DESIGN.md section 14): run fault injection on
-    // the bulk fragment before it is accepted.  A correctable error is
-    // fixed in place by SECDED/chipkill; an uncorrectable one parks a
-    // backed-off re-read and the fragment is NOT accepted — the retry
-    // arrives later through this same handler with a fresh request, so
-    // the fragment/SECDED protocol checks fire once, on the accepted
-    // arrival only.
-    if (!retryLadder_.onReadComplete(fault::ReadPath::SlowBulk,
-                                     req.lineAddr, req.coord, req.cookie,
-                                     req.coreId, req.complete)) {
-        HETSIM_TRACE_EVENT(trace::Event::FaultRetry, req.complete,
-                           req.cookie, req.lineAddr, req.coreId,
-                           req.coord.channel, req.part, 0);
-        return;
-    }
-
     check::onCwfFragment(this, req.cookie, /*fast=*/false, req.complete);
     p.slowDone = true;
     p.slowTick = req.complete;
@@ -249,22 +201,14 @@ CwfHeteroMemory::onFastResponse(dram::MemRequest &req)
     p.fastTick = req.complete;
     fastLatency_.sample(static_cast<double>(req.totalLatency()));
 
-    // Byte parity on the fast word is detect-only: any injected fault
-    // fails parity, the early wake is cancelled, and the word is served
-    // from the SECDED-protected bulk copy when the line completes
-    // (resolution recorded in maybeComplete).  Persistent faults
-    // accumulate per-site history and eventually retire the sub-channel.
-    bool parity_ok = true;
-    const fault::Injection inj =
-        faultModel_.onRead(fault::ReadPath::FastCritical, req.lineAddr,
-                           req.coord, req.complete);
-    if (inj.faulty()) {
-        parity_ok = false;
+    // Byte parity on the fast word is detect-only: a parity failure
+    // cancels the early wake, and the word is served from the
+    // SECDED-protected rest of the line when the line completes
+    // (resolution recorded in maybeComplete).
+    p.fastFault = faultModel_.onCriticalRead(req.lineAddr, req.complete);
+    const bool parity_ok = p.fastFault == 0;
+    if (!parity_ok)
         parityErrors_.inc();
-        p.fastFault = inj;
-        if (faultModel_.noteSiteFault(inj))
-            retireFastSub(req.coord.channel);
-    }
     HETSIM_TRACE_EVENT(trace::Event::FastArrive, p.fastTick, req.cookie,
                        req.lineAddr, req.coreId, req.coord.channel,
                        req.part, parity_ok ? 1 : 0);
@@ -276,18 +220,6 @@ CwfHeteroMemory::onFastResponse(dram::MemRequest &req)
 void
 CwfHeteroMemory::maybeComplete(std::uint64_t mshr_id, PendingFill &pending)
 {
-    if (pending.slowOnly) {
-        if (!pending.slowDone)
-            return;
-        const Tick done = pending.slowTick;
-        faultModel_.sampleDegradedLatency(done - pending.issued);
-        check::onCwfComplete(this, mshr_id, kTickNever, pending.slowTick,
-                             done);
-        pending_.erase(mshr_id);
-        if (cb_.lineCompleted)
-            cb_.lineCompleted(mshr_id, done);
-        return;
-    }
     if (!pending.fastDone || !pending.slowDone)
         return;
     const Tick done = std::max(pending.fastTick, pending.slowTick);
@@ -296,11 +228,10 @@ CwfHeteroMemory::maybeComplete(std::uint64_t mshr_id, PendingFill &pending)
                                : 0;
     bulkWaitHist_.sample(static_cast<double>(bulk_wait));
     // A parity-detected fast-word fault is resolved here: the whole
-    // line (bulk copy included) has arrived, so the faulty word was
-    // corrected off the ECC-protected slow fragment.
-    if (pending.fastFault.faulty())
-        faultModel_.resolve(pending.fastFault, fault::Resolution::Corrected,
-                            done);
+    // line has arrived, so the faulty word is served off the
+    // SECDED-protected slow fragment.
+    if (pending.fastFault != 0)
+        faultModel_.resolve(pending.fastFault, done);
     check::onCwfComplete(this, mshr_id, pending.fastTick, pending.slowTick,
                          done);
     pending_.erase(mshr_id);
@@ -309,46 +240,8 @@ CwfHeteroMemory::maybeComplete(std::uint64_t mshr_id, PendingFill &pending)
 }
 
 void
-CwfHeteroMemory::retireFastSub(unsigned sub)
-{
-    if (subDegraded_[sub])
-        return;
-    subDegraded_[sub] = true;
-    ++retiredSubs_;
-    faultModel_.noteRegionRetired();
-    warn("CWF ", params_.configName, ": fast sub-channel ", sub,
-         " retired after repeated persistent faults; serving its lines "
-         "slow-only");
-}
-
-void
-CwfHeteroMemory::drainRetries(Tick now)
-{
-    if (retryLadder_.empty())
-        return;
-    retryLadder_.drain(now, [this, now](const fault::RetryRead &r) {
-        if (!slow_[r.coord.channel]->canAccept(AccessType::Read))
-            return false;
-        dram::MemRequest req;
-        req.id = nextReqId_++;
-        req.lineAddr = r.lineAddr;
-        req.type = AccessType::Read;
-        req.coreId = r.coreId;
-        req.cookie = r.cookie;
-        req.part = dram::MemRequest::kRestPart;
-        req.coord = r.coord;
-        slow_[req.coord.channel]->enqueue(req, now);
-        return true;
-    });
-}
-
-void
 CwfHeteroMemory::tick(Tick now)
 {
-    // Release due re-reads before the channels advance so a retry
-    // enqueued at tick T is scheduled exactly like a hierarchy request
-    // arriving at T.
-    drainRetries(now);
     for (auto &chan : slow_)
         chan->tick(now);
     fast_.tick(now);
@@ -357,7 +250,7 @@ CwfHeteroMemory::tick(Tick now)
 bool
 CwfHeteroMemory::idle() const
 {
-    if (!fast_.idle() || !pending_.empty() || !retryLadder_.empty())
+    if (!fast_.idle() || !pending_.empty())
         return false;
     return std::all_of(slow_.begin(), slow_.end(),
                        [](const auto &c) { return c->idle(); });
@@ -440,11 +333,6 @@ CwfHeteroMemory::registerStats(StatRegistry &registry) const
     g.addGauge("cmd_bus_conflicts", [this] {
         return static_cast<double>(fast_.arbiter().conflicts());
     });
-
-    // Only at nonzero rates: zero-rate runs keep their stat report (and
-    // golden digests) byte-identical to a build without the subsystem.
-    if (faultModel_.enabled())
-        faultModel_.registerStats(registry);
 }
 
 } // namespace hetsim::cwf

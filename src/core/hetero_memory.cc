@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/log.hh"
-#include "common/trace.hh"
 #include "power/chip_power.hh"
 
 namespace hetsim::cwf
@@ -107,8 +106,7 @@ HomogeneousMemory::HomogeneousMemory(
       name_(params.hotDevice ? std::string("PagePlacement")
                              : std::string("Homogeneous-") +
                                    dram::toString(params.device.kind)),
-      map_(mapFor(params.device, params.channels, params.ranksPerChannel)),
-      faultModel_(params.fault), retryLadder_(faultModel_)
+      map_(mapFor(params.device, params.channels, params.ranksPerChannel))
 {
     const std::string prefix = params_.hotDevice ? "pp.slow" : name_ + ".ch";
     for (unsigned c = 0; c < params_.channels; ++c) {
@@ -155,47 +153,12 @@ void
 HomogeneousMemory::setCallbacks(Callbacks callbacks)
 {
     cb_ = std::move(callbacks);
-    // Every channel (a hot RLDRAM3 one included) carries whole
-    // ECC-protected lines, so one bulk recovery ladder covers them all.
     for (auto &chan : channels_) {
         chan->setCallback([this](dram::MemRequest &req) {
-            if (!req.isRead())
-                return;
-            // Recovery ladder: an uncorrectable injected error parks a
-            // backed-off re-read instead of delivering the line; the
-            // retry lands back here with a fresh request.
-            if (!retryLadder_.onReadComplete(
-                    fault::ReadPath::SlowBulk, req.lineAddr, req.coord,
-                    req.cookie, req.coreId, req.complete)) {
-                HETSIM_TRACE_EVENT(trace::Event::FaultRetry, req.complete,
-                                   req.cookie, req.lineAddr, req.coreId,
-                                   req.coord.channel, req.part, 0);
-                return;
-            }
-            if (cb_.lineCompleted)
+            if (req.isRead() && cb_.lineCompleted)
                 cb_.lineCompleted(req.cookie, req.complete);
         });
     }
-}
-
-void
-HomogeneousMemory::drainRetries(Tick now)
-{
-    if (retryLadder_.empty())
-        return;
-    retryLadder_.drain(now, [this, now](const fault::RetryRead &r) {
-        if (!channels_[r.coord.channel]->canAccept(AccessType::Read))
-            return false;
-        dram::MemRequest req;
-        req.id = nextReqId_++;
-        req.lineAddr = r.lineAddr;
-        req.type = AccessType::Read;
-        req.coreId = r.coreId;
-        req.cookie = r.cookie;
-        req.coord = r.coord;
-        channels_[req.coord.channel]->enqueue(req, now);
-        return true;
-    });
 }
 
 bool
@@ -243,7 +206,6 @@ HomogeneousMemory::requestWriteback(Addr line_addr, Tick now)
 void
 HomogeneousMemory::tick(Tick now)
 {
-    drainRetries(now);
     for (auto &chan : channels_)
         chan->tick(now);
 }
@@ -251,8 +213,6 @@ HomogeneousMemory::tick(Tick now)
 bool
 HomogeneousMemory::idle() const
 {
-    if (!retryLadder_.empty())
-        return false;
     return std::all_of(channels_.begin(), channels_.end(),
                        [](const auto &c) { return c->idle(); });
 }
@@ -312,8 +272,6 @@ HomogeneousMemory::registerStats(StatRegistry &registry) const
         g.addCounter("fast_accesses", &fastAccesses_);
         g.addCounter("slow_accesses", &slowAccesses_);
     }
-    if (faultModel_.enabled())
-        faultModel_.registerStats(registry);
 }
 
 } // namespace hetsim::cwf

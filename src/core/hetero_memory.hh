@@ -67,7 +67,6 @@ class HomogeneousMemory : public MemoryBackend
         unsigned channels = 4;     // Table 1
         unsigned ranksPerChannel = 1;
         dram::SchedulerPolicy sched;
-        fault::FaultParams fault;  ///< injected on the bulk read path
         /** Hot-tier device: one 1-rank channel, index `channels`, that
          *  holds the hot pages.  Unset means no hot tier. */
         std::optional<dram::DeviceParams> hotDevice;
@@ -96,10 +95,6 @@ class HomogeneousMemory : public MemoryBackend
     double rowHitRate() const override;
     const char *name() const override { return name_.c_str(); }
     void registerStats(StatRegistry &registry) const override;
-    const fault::FaultModel *faultModel() const override
-    {
-        return &faultModel_;
-    }
 
     dram::Channel &channel(unsigned i) { return *channels_.at(i); }
     const dram::AddressMap &addressMap() const { return map_; }
@@ -113,7 +108,6 @@ class HomogeneousMemory : public MemoryBackend
     unsigned channelOf(Addr line_addr) const;
     dram::DramCoord coordOf(Addr line_addr) const;
     std::vector<const dram::Channel *> channelViews() const;
-    void drainRetries(Tick now);
 
     Params params_;
     std::string name_;
@@ -124,8 +118,6 @@ class HomogeneousMemory : public MemoryBackend
     /** The `channels` channels, then the hot channel if any. */
     std::vector<std::unique_ptr<dram::Channel>> channels_;
     Callbacks cb_;
-    fault::FaultModel faultModel_;
-    fault::BulkRetryLadder retryLadder_;
     std::uint64_t nextReqId_ = 1;
 
     Counter fastAccesses_;
@@ -152,7 +144,9 @@ class CwfHeteroMemory : public MemoryBackend
          *  buses (one controller per critical-word channel). */
         bool sharedCommandBus = true;
         dram::SchedulerPolicy sched;
-        fault::FaultParams fault; ///< unified fault-injection knobs
+        fault::FaultParams fault; ///< critical-word parity failures
+        /** Seeds the parity-failure draws (SystemParams::seed). */
+        std::uint64_t seed = 0;
     };
 
     CwfHeteroMemory(const Params &params,
@@ -175,10 +169,6 @@ class CwfHeteroMemory : public MemoryBackend
     double rowHitRate() const override;
     const char *name() const override { return params_.configName.c_str(); }
     void registerStats(StatRegistry &registry) const override;
-    const fault::FaultModel *faultModel() const override
-    {
-        return &faultModel_;
-    }
 
     LineLayout &layout() { return *layout_; }
     AggregatedFastChannel &fastChannel() { return fast_; }
@@ -193,25 +183,17 @@ class CwfHeteroMemory : public MemoryBackend
     const Average &slowFragmentLatency() const { return slowLatency_; }
     const Counter &parityErrorsInjected() const { return parityErrors_; }
 
-    /** True once any fast sub-channel has been retired (the hierarchy
-     *  is serving some lines slow-only). */
-    bool degradedMode() const { return retiredSubs_ != 0; }
-    bool fastSubRetired(unsigned sub) const { return subDegraded_[sub]; }
-
   private:
     struct PendingFill
     {
         bool fastDone = false;
         bool slowDone = false;
-        /** Degraded fill: no fast fragment was issued; completion is
-         *  defined by the slow fragment alone. */
-        bool slowOnly = false;
         Tick fastTick = 0;
         Tick slowTick = 0;
-        Tick issued = 0;
-        /** Parity-detected fast-word fault, resolved (served from the
-         *  SECDED-protected bulk copy) when the line completes. */
-        fault::Injection fastFault;
+        /** Id of the parity fault on the fast word (0 = none), resolved
+         *  (served from the SECDED-protected rest of the line) when the
+         *  line completes. */
+        std::uint64_t fastFault = 0;
     };
 
     unsigned fastSubOf(std::uint64_t line_index) const;
@@ -219,8 +201,6 @@ class CwfHeteroMemory : public MemoryBackend
     void onSlowResponse(dram::MemRequest &req);
     void onFastResponse(dram::MemRequest &req);
     void maybeComplete(std::uint64_t mshr_id, PendingFill &pending);
-    void retireFastSub(unsigned sub);
-    void drainRetries(Tick now);
 
     Params params_;
     std::unique_ptr<LineLayout> layout_;
@@ -230,10 +210,6 @@ class CwfHeteroMemory : public MemoryBackend
     AggregatedFastChannel fast_;
     Callbacks cb_;
     fault::FaultModel faultModel_;
-    fault::BulkRetryLadder retryLadder_;
-    /** Retired fast sub-channels (persistent-failure degradation). */
-    std::vector<bool> subDegraded_;
-    unsigned retiredSubs_ = 0;
     std::uint64_t nextReqId_ = 1;
 
     std::unordered_map<std::uint64_t, PendingFill> pending_;

@@ -25,11 +25,6 @@
 #include "common/stats.hh"
 #include "common/types.hh"
 
-namespace hetsim::fault
-{
-class FaultModel;
-} // namespace hetsim::fault
-
 namespace hetsim::cwf
 {
 
@@ -110,11 +105,6 @@ class MemoryBackend
     {
         (void)registry;
     }
-
-    /** The fault-injection model wired into this backend's read paths,
-     *  or nullptr when the backend does not model faults (campaign
-     *  drivers and tests read the recovery ledger through this). */
-    virtual const fault::FaultModel *faultModel() const { return nullptr; }
 };
 
 } // namespace hetsim::cwf

@@ -69,43 +69,23 @@ SystemParams::cacheKey() const
     std::ostringstream os;
     os << toString(mem) << "/c" << cores << "/pf" << prefetcherEnabled
        << "/s" << seed << "/hp" << hotPages.size();
-    // Appended only when some fault knob is set, so keys of fault-free
-    // runs — every pre-existing cache entry — are untouched.
-    if (fault.nonDefault())
-        fault.appendKey(os);
+    // Appended only at a nonzero parity-fail rate, so keys of fault-free
+    // runs are untouched.
+    if (fault.parityFailRate > 0)
+        os << "/par" << fault.parityFailRate;
     return os.str();
 }
 
 namespace
 {
 
-/** The run's fault knobs with the site seed pinned to the run seed
- *  when left at 0 (same SystemParams seed ⇒ same fault sites). */
-fault::FaultParams
-faultFor(const SystemParams &params)
-{
-    fault::FaultParams f = params.fault;
-    if (f.seed == 0)
-        f.seed = params.seed;
-    return f;
-}
-
-cwf::HomogeneousMemory::Params
-homogeneousParams(dram::DeviceParams device, const SystemParams &params)
+/** Table 1's four 1-rank channels of @p device. */
+std::unique_ptr<cwf::MemoryBackend>
+buildHomogeneous(dram::DeviceParams device)
 {
     cwf::HomogeneousMemory::Params p;
     p.device = std::move(device);
-    p.channels = 4;
-    p.ranksPerChannel = 1;
-    p.fault = faultFor(params);
-    return p;
-}
-
-std::unique_ptr<cwf::MemoryBackend>
-buildHomogeneous(dram::DeviceParams device, const SystemParams &params)
-{
-    return std::make_unique<cwf::HomogeneousMemory>(
-        homogeneousParams(std::move(device), params));
+    return std::make_unique<cwf::HomogeneousMemory>(p);
 }
 
 std::unique_ptr<cwf::LineLayout>
@@ -128,7 +108,8 @@ buildCwf(const SystemParams &params)
 {
     cwf::CwfHeteroMemory::Params p;
     p.configName = toString(params.mem);
-    p.fault = faultFor(params);
+    p.fault = params.fault;
+    p.seed = params.seed;
 
     switch (params.mem) {
       case MemConfig::CwfRD:
@@ -188,11 +169,11 @@ buildBackend(const SystemParams &params)
 {
     switch (params.mem) {
       case MemConfig::BaselineDDR3:
-        return buildHomogeneous(dram::DeviceParams::ddr3_1600(), params);
+        return buildHomogeneous(dram::DeviceParams::ddr3_1600());
       case MemConfig::HomoRLDRAM3:
-        return buildHomogeneous(dram::DeviceParams::rldram3(), params);
+        return buildHomogeneous(dram::DeviceParams::rldram3());
       case MemConfig::HomoLPDDR2:
-        return buildHomogeneous(dram::DeviceParams::lpddr2_800(), params);
+        return buildHomogeneous(dram::DeviceParams::lpddr2_800());
       case MemConfig::CwfRD:
       case MemConfig::CwfRL:
       case MemConfig::CwfDL:
@@ -204,8 +185,8 @@ buildBackend(const SystemParams &params)
       case MemConfig::PagePlacement: {
         // Three LPDDR2 channels plus one RLDRAM3 channel for the hot
         // pages: iso-pin and iso-chip-count with the RL system.
-        cwf::HomogeneousMemory::Params p =
-            homogeneousParams(dram::DeviceParams::lpddr2_800(), params);
+        cwf::HomogeneousMemory::Params p;
+        p.device = dram::DeviceParams::lpddr2_800();
         p.channels = 3;
         p.hotDevice = dram::DeviceParams::rldram3();
         return std::make_unique<cwf::HomogeneousMemory>(p, params.hotPages);

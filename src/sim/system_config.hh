@@ -47,7 +47,8 @@ struct SystemParams
     MemConfig mem = MemConfig::BaselineDDR3;
     unsigned cores = 8;
     bool prefetcherEnabled = true;
-    /** Fault-injection knobs; all defaults inject nothing. */
+    /** Critical-word parity failures (seeded by `seed`); the default
+     *  injects nothing. */
     fault::FaultParams fault;
     bool trackPerLineCriticality = false;
     bool trackPageCounts = false;

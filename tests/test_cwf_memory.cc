@@ -180,7 +180,7 @@ TEST_F(CwfMemoryTest, WritebackCommitsAdaptiveLayout)
 TEST_F(CwfMemoryTest, ParityErrorInjection)
 {
     auto p = rlParams();
-    p.fault.fastExtraTransient = 1.0; // every fast fragment fails
+    p.fault.parityFailRate = 1.0; // every fast fragment fails
     build(p);
     mem->requestFill(MemoryBackend::FillRequest{0x1000, 0, false, 0, 5},
                      0);

@@ -4,9 +4,9 @@
  * streams with deliberately injected violations (a fifth activate inside
  * the tFAW window, tRC/bank-state abuse, data-bus collisions, malformed
  * CAS shapes) and model-invariant abuses (premature early wakes, MSHR
- * leaks, double SECDED) must each be caught and attributed to the right
- * rule — proving the checker would actually fire if the scheduler or the
- * CWF plumbing regressed.
+ * leaks, double SECDED, double-resolved or leaked faults) must each be
+ * caught and attributed to the right rule — proving the checker would
+ * actually fire if the scheduler or the CWF plumbing regressed.
  */
 
 #include <gtest/gtest.h>
@@ -232,6 +232,35 @@ TEST_F(ProtocolCheck, DuplicateFastFragmentIsCaught)
     checker().cwfFragment(&chan_, 7, true, 12);
     EXPECT_EQ(checker().count(Rule::CwfFragment), 1u)
         << checker().report();
+}
+
+TEST_F(ProtocolCheck, DoubleFaultResolveIsCaught)
+{
+    checker().faultInjected(&chan_, 1, 10);
+    checker().faultResolved(&chan_, 1, 20);
+    EXPECT_EQ(checker().count(Rule::Fault), 0u) << checker().report();
+    checker().faultResolved(&chan_, 1, 30);
+    EXPECT_EQ(checker().count(Rule::Fault), 1u) << checker().report();
+}
+
+TEST_F(ProtocolCheck, ResolveOfUninjectedFaultIsCaught)
+{
+    checker().faultInjected(&chan_, 1, 10);
+    checker().faultResolved(&chan_, 2, 20);
+    EXPECT_EQ(checker().count(Rule::Fault), 1u) << checker().report();
+}
+
+TEST_F(ProtocolCheck, UnresolvedFaultIsCaughtAtFinalize)
+{
+    checker().faultInjected(&chan_, 1, 10);
+    checker().faultInjected(&chan_, 2, 20);
+    checker().faultResolved(&chan_, 1, 30);
+    EXPECT_EQ(checker().count(Rule::Fault), 0u) << checker().report();
+    checker().finalizeAll();
+    EXPECT_EQ(checker().count(Rule::Fault), 1u) << checker().report();
+    // finalizeAll drains the live set: a second pass adds nothing.
+    checker().finalizeAll();
+    EXPECT_EQ(checker().count(Rule::Fault), 1u) << checker().report();
 }
 
 TEST_F(ProtocolCheck, ReportCarriesRuleTickAndPlace)

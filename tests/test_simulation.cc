@@ -249,7 +249,7 @@ TEST(Simulation, ParityErrorsSuppressEarlyWakes)
 {
     SystemParams p;
     p.mem = MemConfig::CwfRL;
-    p.fault.fastExtraTransient = 1.0;
+    p.fault.parityFailRate = 1.0;
     System system(p, workloads::suite::byName("leslie3d"), 8);
     const RunResult r = runSimulation(system, quick(800));
     EXPECT_EQ(system.hierarchy().stats().earlyWakes.value(), 0u);
