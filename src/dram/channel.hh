@@ -113,7 +113,8 @@ class Channel
     /** Queue admission check; callers must not enqueue when false. */
     bool canAccept(AccessType type) const;
 
-    /** Hand a decoded transaction to the controller. */
+    /** Hand a decoded transaction to the controller.  @p now must be
+     *  the current tick: the request is eligible to issue at once. */
     void enqueue(MemRequest req, Tick now);
 
     /** Advance to @p now; acts only on memory-cycle boundaries. */

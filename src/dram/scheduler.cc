@@ -61,8 +61,6 @@ Channel::tryIssueFrom(std::vector<ReqPtr> &queue, bool is_write_queue,
         // oldest first.
         for (std::size_t i = 0; i < queue.size(); ++i) {
             MemRequest &req = *queue[i];
-            if (req.enqueue > now)
-                continue; // enqueued with a future arrival tick
             if (klass(req) != cls)
                 continue;
             Rank &rank = ranks_[req.coord.rank];
@@ -89,8 +87,6 @@ Channel::tryIssueFrom(std::vector<ReqPtr> &queue, bool is_write_queue,
         std::uint64_t visited_banks = 0;
         for (std::size_t i = 0; i < queue.size(); ++i) {
             MemRequest &req = *queue[i];
-            if (req.enqueue > now)
-                continue; // enqueued with a future arrival tick
             if (klass(req) != cls)
                 continue;
             const unsigned bank_id =
