@@ -82,6 +82,10 @@ main(int argc, char **argv)
             chosen.push_back(&s);
     }
 
+    // The runner validates the environment (HETSIM_WORKLOADS, the
+    // quantum, HETSIM_JSON_DIR) before anything is printed.
+    sim::ExperimentRunner runner;
+
     // Only runs that go through the runner's memo are exported; the
     // sections that simulate on their own (or not at all) write none.
     if (const char *dir = std::getenv("HETSIM_JSON_DIR"); dir && *dir) {
@@ -93,7 +97,6 @@ main(int argc, char **argv)
                      "export one report per memoised run)\n";
     }
 
-    sim::ExperimentRunner runner;
     for (const Section *s : chosen) {
         std::cout << "######## " << s->name << "\n";
         s->run(runner);

@@ -65,8 +65,6 @@ toString(Rule rule)
         return "bus_turnaround";
       case Rule::CwfFragment:
         return "cwf_fragment";
-      case Rule::CwfSecded:
-        return "cwf_secded";
       case Rule::CwfCompletion:
         return "cwf_completion";
       case Rule::EarlyWake:
@@ -653,19 +651,6 @@ Checker::cwfFragment(const void *domain, std::uint64_t id, bool fast,
 }
 
 void
-Checker::cwfSecded(const void *domain, std::uint64_t id, Tick at)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    const auto it = cwfLive_.find({domain, id});
-    if (it == cwfLive_.end()) {
-        violate(Rule::CwfSecded, at, "fill " + std::to_string(id),
-                "SECDED check without a pending fill");
-        return;
-    }
-    it->second.secdedChecks += 1;
-}
-
-void
 Checker::cwfComplete(const void *domain, std::uint64_t id, Tick fast_tick,
                      Tick slow_tick, Tick done_tick)
 {
@@ -687,11 +672,6 @@ Checker::cwfComplete(const void *domain, std::uint64_t id, Tick fast_tick,
                 "completion tick " + std::to_string(done_tick) +
                     " != max(fast " + std::to_string(fast_tick) +
                     ", slow " + std::to_string(slow_tick) + ")");
-    }
-    if (fill.secdedChecks != 1) {
-        violate(Rule::CwfSecded, done_tick, "fill " + std::to_string(id),
-                "SECDED fired " + std::to_string(fill.secdedChecks) +
-                    " times; must fire exactly once per completed line");
     }
     cwfLive_.erase(it);
 }

@@ -17,10 +17,10 @@
  *  2. Model/CWF invariants: early wake never precedes the fast-word
  *     arrival (and never fires on a parity failure), a line never
  *     completes before its fast fragment, fast-word lead is
- *     non-negative, SECDED fires exactly once per completed CWF line,
- *     fragments never duplicate, no L1 hit lands on a line with a live
- *     MSHR, and every MSHR allocation is eventually drained (leak
- *     detection via finalizeAll()).
+ *     non-negative, a CWF line completes only after both of its
+ *     fragments, fragments never duplicate, no L1 hit lands on a line
+ *     with a live MSHR, and every MSHR allocation is eventually drained
+ *     (leak detection via finalizeAll()).
  *
  * Cost model mirrors common/trace.hh: when checking is disabled (the
  * default) every hook is a single load+branch on a global flag.  Enable
@@ -76,7 +76,6 @@ enum class Rule : std::uint8_t {
     BusOverlap,      ///< overlapping data-bus transfers
     BusTurnaround,   ///< missing tRTRS gap on rank/direction switch
     CwfFragment,     ///< duplicate/orphaned CWF fragment
-    CwfSecded,       ///< SECDED did not fire exactly once per line
     CwfCompletion,   ///< completion tick != max(fast, slow)
     EarlyWake,       ///< wake before fast-word arrival or on bad parity
     FastLead,        ///< line completed before fast fragment / negative lead
@@ -167,7 +166,6 @@ class Checker
     void cwfFillIssued(const void *domain, std::uint64_t id, Tick at);
     void cwfFragment(const void *domain, std::uint64_t id, bool fast,
                      Tick at);
-    void cwfSecded(const void *domain, std::uint64_t id, Tick at);
     void cwfComplete(const void *domain, std::uint64_t id, Tick fast_tick,
                      Tick slow_tick, Tick done_tick);
     void cwfDomainDestroyed(const void *domain);
@@ -252,7 +250,6 @@ class Checker
         Tick issued = 0;
         Tick fastTick = kTickNever;
         Tick slowTick = kTickNever;
-        unsigned secdedChecks = 0;
     };
 
     ChannelState &stateFor(const void *chan, const std::string &name,
@@ -355,12 +352,6 @@ inline void
 onCwfFragment(const void *domain, std::uint64_t id, bool fast, Tick at)
 {
     HETSIM_CHECK_HOOK(cwfFragment(domain, id, fast, at));
-}
-
-inline void
-onCwfSecded(const void *domain, std::uint64_t id, Tick at)
-{
-    HETSIM_CHECK_HOOK(cwfSecded(domain, id, at));
 }
 
 inline void

@@ -27,7 +27,8 @@ enum class Phase : std::uint8_t {
     Bus,        ///< data burst occupancy (tBurst)
     MshrWait,   ///< secondary miss joined an in-flight MSHR -> wake
     BulkWait,   ///< CWF fill: fast fragment arrival -> slow fragment
-    Reassembly, ///< CWF fill: SECDED + fragment merge (modelled 0-cost)
+    Reassembly, ///< CWF fill: fragment merge and the SECDED check, a
+                ///< modelled 0-cost step
 };
 
 const char *toString(Phase phase);

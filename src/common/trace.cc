@@ -53,12 +53,12 @@ toString(Event event)
         return "bank_cas";
       case Event::FastArrive:
         return "fast_arrive";
+      case Event::SlowArrive:
+        return "slow_arrive";
       case Event::EarlyWake:
         return "early_wake";
       case Event::LineComplete:
         return "line_complete";
-      case Event::SecdedCheck:
-        return "secded_check";
       case Event::PhaseSpan:
         return "phase_span";
     }

@@ -2,9 +2,11 @@
  * @file
  * Per-request lifecycle tracer: timestamped events covering the whole
  * demand-read path (core issue -> MSHR allocation -> controller enqueue
- * -> scheduler pick -> bank ACT/CAS -> fast-word arrival -> early wake
- * -> full-line completion -> SECDED check) recorded into a ring buffer
- * and drained to a JSONL or Chrome trace-event sink.
+ * -> scheduler pick -> bank ACT/CAS -> fast- and slow-fragment arrival
+ * -> early wake -> full-line completion) recorded into a ring buffer and
+ * drained to a JSONL or Chrome trace-event sink.  The paper's SECDED
+ * check on the slow fragment is a modelled zero-cost step and records
+ * no event of its own.
  *
  * Cost model: when tracing is disabled (the default) every
  * HETSIM_TRACE_EVENT call is a single load+branch on a global flag.
@@ -45,9 +47,9 @@ enum class Event : std::uint8_t {
     BankAct,       ///< ACTIVATE issued to a bank
     BankCas,       ///< column (CAS / compound) command issued
     FastArrive,    ///< critical-word fragment returned (fast DIMM)
+    SlowArrive,    ///< rest-of-line fragment returned (slow DIMM)
     EarlyWake,     ///< a waiting load was woken by the fast fragment
     LineComplete,  ///< whole line (incl. ECC fragment) arrived
-    SecdedCheck,   ///< SECDED checked on the rest-of-line fragment
     PhaseSpan,     ///< latency-attribution phase interval (detail =
                    ///< attrib::Phase, aux = duration in ticks)
 };

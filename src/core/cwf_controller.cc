@@ -178,12 +178,11 @@ CwfHeteroMemory::onSlowResponse(dram::MemRequest &req)
     p.slowDone = true;
     p.slowTick = req.complete;
     slowLatency_.sample(static_cast<double>(req.totalLatency()));
-    // The rest-of-line fragment carries the SECDED code; the check runs
-    // as the fragment arrives (paper Section 4.2.3).
-    check::onCwfSecded(this, req.cookie, req.complete);
-    HETSIM_TRACE_EVENT(trace::Event::SecdedCheck, req.complete, req.cookie,
+    // The rest-of-line fragment carries the SECDED code; its check is a
+    // modelled zero-cost step (paper Section 4.2.3).
+    HETSIM_TRACE_EVENT(trace::Event::SlowArrive, req.complete, req.cookie,
                        req.lineAddr, req.coreId, req.coord.channel,
-                       req.part, 1);
+                       req.part, 0);
     maybeComplete(req.cookie, p);
 }
 

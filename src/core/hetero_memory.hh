@@ -12,7 +12,8 @@
  *
  *  - CwfHeteroMemory: the paper's contribution (Fig. 5c).  Each line is
  *    split: words 1-7 + SECDED ECC on a slow 64-bit channel (LPDDR2 or
- *    DDR3, 8 chips/rank), the layout-designated critical word + byte
+ *    DDR3, 8 chips/rank; the SECDED check is a modelled zero-cost step
+ *    when the line completes), the layout-designated critical word + byte
  *    parity on the aggregated fast channel (x9 sub-ranked RLDRAM3 or
  *    close-page DDR3).  Fills issue two independent requests; the fast
  *    fragment wakes waiting loads early (parity permitting) and the

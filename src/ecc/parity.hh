@@ -5,8 +5,8 @@
  * the 64-bit critical word carries 8 parity bits over the 9-bit channel.
  *
  * Parity is the lightweight error *detector* that gates early wakeup;
- * full SECDED correction completes when the rest of the line arrives
- * from the slow DIMM.
+ * the slow DIMM's SECDED check, a modelled zero-cost step, covers the
+ * word when the rest of the line arrives.
  */
 
 #ifndef HETSIM_ECC_PARITY_HH

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <future>
 #include <sstream>
@@ -70,8 +71,7 @@ writeJsonExport(const std::string &json, const std::string &key)
         std::string(dir) + "/" + sanitizedRunKey(key) + ".json";
     std::ofstream out(path);
     if (!out) {
-        warn("json export: cannot write '", path,
-             "'; does HETSIM_JSON_DIR exist?");
+        warn("json export: cannot write '", path, "'");
         return;
     }
     out << json << "\n";
@@ -155,6 +155,12 @@ ExperimentRunner::ExperimentRunner(unsigned jobs)
     }
     if (workloads_.empty())
         workloads_ = workloads::suite::names();
+    if (const char *dir = jsonExportDir()) {
+        std::error_code ec;
+        if (!std::filesystem::is_directory(dir, ec))
+            fatal("HETSIM_JSON_DIR: '", dir,
+                  "' is not an existing directory");
+    }
 }
 
 SystemParams

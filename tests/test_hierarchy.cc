@@ -225,7 +225,7 @@ TEST_F(HierarchyTest, ParityErrorBlocksEarlyWake)
     backend.plannedWord = 0;
     hier->load(0, 1, 0x1000, 10);
     backend.deliverCritical(50, /*parity_ok=*/false);
-    EXPECT_TRUE(wakes.empty()) << "parity failure defers to SECDED";
+    EXPECT_TRUE(wakes.empty()) << "parity failure defers to the full line";
     EXPECT_EQ(hier->stats().parityBlockedWakes.value(), 1u);
     backend.deliverLine(120);
     ASSERT_EQ(wakes.size(), 1u);

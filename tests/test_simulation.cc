@@ -255,6 +255,9 @@ TEST(Simulation, ParityErrorsSuppressEarlyWakes)
     EXPECT_EQ(system.hierarchy().stats().earlyWakes.value(), 0u);
     EXPECT_GT(system.hierarchy().stats().parityBlockedWakes.value(), 0u);
     EXPECT_GT(r.aggIpc, 0.0);
+    // Every failed word is served when its line completes, so the run
+    // still reaches its read quantum rather than the tick cap.
+    EXPECT_FALSE(r.capped);
 }
 
 TEST(ExperimentRunnerDeathTest, UnknownWorkloadFailsBeforeAnyRun)
@@ -268,6 +271,20 @@ TEST(ExperimentRunnerDeathTest, UnknownWorkloadFailsBeforeAnyRun)
         },
         ::testing::ExitedWithCode(1),
         "unknown benchmark 'notabenchmark'; valid names: .*leslie3d");
+}
+
+TEST(ExperimentRunnerDeathTest, MissingJsonDirFailsBeforeAnyRun)
+{
+    // HETSIM_JSON_DIR is checked when the runner is built, so a typo
+    // stops the sweep before any run instead of dropping every report.
+    EXPECT_EXIT(
+        {
+            setenv("HETSIM_JSON_DIR", "/nonexistent/hetsim-json", 1);
+            ExperimentRunner runner(1);
+        },
+        ::testing::ExitedWithCode(1),
+        "HETSIM_JSON_DIR: '/nonexistent/hetsim-json' is not an existing "
+        "directory");
 }
 
 TEST(ExperimentRunnerDeathTest, MalformedQuantumFailsBeforeAnyRun)
