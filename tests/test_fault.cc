@@ -3,7 +3,9 @@
  * Critical-word parity-fault tests (DESIGN.md section 14):
  *
  *  - hash-stream determinism: same seed => same failing reads,
- *    different seed => different ones; a zero rate makes no draw;
+ *    different seed => different ones, whatever the arrival tick; a
+ *    zero rate makes no draw; rereads of a line draw afresh and the
+ *    failing share tracks the rate;
  *  - the fallback: every parity fail cancels its early wake and is
  *    resolved exactly once, when the line completes, with the protocol
  *    checker armed and clean;
@@ -96,6 +98,47 @@ TEST(FaultModel, FastPathParityIsDetectOnly)
     fault::FaultModel model(rate(1.0), 3);
     for (std::uint64_t line = 0; line < 16; ++line)
         EXPECT_EQ(model.onCriticalRead(line << kLineShift, 0), line + 1);
+}
+
+TEST(FaultModel, DrawIgnoresTheArrivalTick)
+{
+    // The draw hashes (seed, line, per-line sequence number) only, so a
+    // read that arrives at another tick fails or passes the same way.
+    fault::FaultModel a(rate(0.3), 7);
+    fault::FaultModel b(rate(0.3), 7);
+    for (std::uint64_t line = 0; line < 64; ++line) {
+        EXPECT_EQ(a.onCriticalRead(line << kLineShift, 100),
+                  b.onCriticalRead(line << kLineShift, 100 + 37 * line))
+            << "line " << line;
+    }
+}
+
+TEST(FaultModel, RereadsOfALineDrawAfresh)
+{
+    // Faults are transient: each read of one line is a new draw, so at
+    // rate 0.5 the same line both fails and passes over 64 reads.
+    fault::FaultModel model(rate(0.5), 11);
+    unsigned failed = 0;
+    for (int rep = 0; rep < 64; ++rep)
+        failed += model.onCriticalRead(0x4000, 0) != 0;
+    EXPECT_GT(failed, 0u);
+    EXPECT_LT(failed, 64u);
+}
+
+TEST(FaultModel, FailFractionTracksTheRate)
+{
+    // 4096 reads over 1024 lines at rate 0.25: the failing share stays
+    // within a few standard deviations (0.0068) of the rate.
+    fault::FaultModel model(rate(0.25), 5);
+    unsigned failed = 0;
+    constexpr unsigned kReads = 4096;
+    for (unsigned i = 0; i < kReads; ++i) {
+        const Addr line = static_cast<Addr>(i % 1024) << kLineShift;
+        failed += model.onCriticalRead(line, i) != 0;
+    }
+    const double share = static_cast<double>(failed) / kReads;
+    EXPECT_GT(share, 0.22);
+    EXPECT_LT(share, 0.28);
 }
 
 TEST(FaultParams, CacheKeyChangesOnlyForNonDefaultKnobs)
