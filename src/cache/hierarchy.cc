@@ -9,7 +9,8 @@ namespace hetsim::cache
 
 Hierarchy::Hierarchy(const Params &params, cwf::MemoryBackend &backend)
     : params_(params), backend_(backend), l2_(params.l2),
-      mshrs_(params.mshrs), prefetcher_(params.prefetch)
+      mshrs_(params.mshrs), prefetcher_(params.prefetch),
+      check_(check::armed())
 {
     sim_assert(params_.cores > 0, "hierarchy needs cores");
     for (unsigned c = 0; c < params_.cores; ++c) {
@@ -58,8 +59,8 @@ Hierarchy::accessImpl(std::uint8_t core, std::uint16_t slot, Addr addr,
     //    join, which never touched the L1.
     Cache &l1 = *l1s_[core];
     if (l1.hit(line, is_store)) {
-        check::onL1Hit(line, core, now,
-                       [&] { return mshrs_.find(line) != nullptr; });
+        if (check_) [[unlikely]]
+            check::l1Hit(line, core, now, mshrs_.find(line) != nullptr);
         stats_.lookupLatencyHist.sample(
             static_cast<double>(params_.l1Latency));
         return {Outcome::Ready, now + params_.l1Latency, HitLevel::L1};
@@ -200,8 +201,9 @@ Hierarchy::onCriticalArrived(std::uint64_t mshr_id, Tick now,
 
     // Wake every waiter whose requested word is the buffered one.  The
     // validator sees the state the wakes are about to be issued from.
-    check::onEarlyWake(entry.id, now, entry.fastArrived, entry.fastTick,
-                       entry.fastParityOk);
+    if (check_) [[unlikely]]
+        check::earlyWake(entry.id, now, entry.fastArrived, entry.fastTick,
+                         entry.fastParityOk);
     auto &waiters = entry.waiters;
     for (auto it = waiters.begin(); it != waiters.end();) {
         if (it->word == entry.storedCriticalWord) {
@@ -238,9 +240,10 @@ Hierarchy::onLineCompleted(std::uint64_t mshr_id, Tick now)
 {
     MshrEntry &entry = mshrs_.byId(mshr_id);
     sim_assert(!entry.slowArrived, "duplicate line completion");
-    check::onLineComplete(entry.id, now,
-                          entry.storedCriticalWord != MshrEntry::kNoFastWord,
-                          entry.fastArrived, entry.fastTick);
+    if (check_) [[unlikely]]
+        check::lineComplete(entry.id, now,
+                            entry.storedCriticalWord != MshrEntry::kNoFastWord,
+                            entry.fastArrived, entry.fastTick);
     entry.slowArrived = true;
     entry.slowTick = now;
     HETSIM_TRACE_EVENT(trace::Event::LineComplete, now, entry.id,

@@ -130,6 +130,8 @@ class Hierarchy
     /** Register `cache/hierarchy` and `cache/mshr` stat groups. */
     void registerStats(StatRegistry &registry) const;
     const MshrFile &mshrs() const { return mshrs_; }
+    /** MshrFile::checkDrained on this hierarchy's MSHRs. */
+    void checkDrained() { mshrs_.checkDrained(); }
     const Cache &l2() const { return l2_; }
     const Cache &l1(unsigned core) const { return *l1s_[core]; }
     const StridePrefetcher &prefetcher() const { return prefetcher_; }
@@ -181,6 +183,8 @@ class Hierarchy
     HierStats stats_;
     std::unordered_map<Addr, LineHist> lineCriticality_;
     std::unordered_map<std::uint64_t, std::uint64_t> pageCounts_;
+    /** Built while check::armed(): run the stateless validator rules. */
+    bool check_;
 };
 
 } // namespace hetsim::cache

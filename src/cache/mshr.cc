@@ -6,11 +6,6 @@
 namespace hetsim::cache
 {
 
-MshrFile::~MshrFile()
-{
-    check::onMshrDomainDestroyed(this);
-}
-
 MshrFile::MshrFile(unsigned capacity) : capacity_(capacity)
 {
     sim_assert(capacity_ > 0, "MSHR file needs capacity");
@@ -18,7 +13,11 @@ MshrFile::MshrFile(unsigned capacity) : capacity_(capacity)
     freeList_.reserve(capacity_);
     for (unsigned i = 0; i < capacity_; ++i)
         freeList_.push_back(capacity_ - 1 - i);
+    if (check::armed())
+        check_ = std::make_unique<check::LiveIds>(check::LiveIds::Kind::Mshr);
 }
+
+MshrFile::~MshrFile() = default;
 
 MshrEntry *
 MshrFile::find(Addr line_addr)
@@ -65,7 +64,8 @@ MshrFile::allocate(Addr line_addr, Tick now)
 
     byLine_[line_addr] = slot;
     allocations_.inc();
-    check::onMshrAlloc(this, entry.id, now);
+    if (check_) [[unlikely]]
+        check_->add(entry.id, now);
     return &entry;
 }
 
@@ -78,10 +78,18 @@ MshrFile::release(MshrEntry &entry)
                "MSHR map corruption");
     const unsigned slot = it->second;
     byLine_.erase(it);
-    check::onMshrRelease(this, entry.id, entry.allocTick);
+    if (check_) [[unlikely]]
+        check_->remove(entry.id, entry.allocTick);
     entry.valid = false;
     entry.waiters.clear();
     freeList_.push_back(slot);
+}
+
+void
+MshrFile::checkDrained()
+{
+    if (check_)
+        check_->drain();
 }
 
 } // namespace hetsim::cache

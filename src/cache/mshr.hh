@@ -12,11 +12,17 @@
 #define HETSIM_CACHE_MSHR_HH
 
 #include <cstdint>
+#include <memory>
 #include <unordered_map>
 #include <vector>
 
 #include "common/stats.hh"
 #include "common/types.hh"
+
+namespace hetsim::check
+{
+class LiveIds;
+} // namespace hetsim::check
 
 namespace hetsim::cache
 {
@@ -101,6 +107,10 @@ class MshrFile
     /** Release a completed entry. */
     void release(MshrEntry &entry);
 
+    /** Protocol validator: every allocation still live is a leak (call
+     *  once the file has drained; no-op unless built armed). */
+    void checkDrained();
+
     const Counter &allocations() const { return allocations_; }
     const Counter &fullStalls() const { return fullStalls_; }
     void noteFullStall() { fullStalls_.inc(); }
@@ -121,6 +131,8 @@ class MshrFile
 
     Counter allocations_;
     Counter fullStalls_;
+    /** Live ids; null unless built while check::armed(). */
+    std::unique_ptr<check::LiveIds> check_;
 };
 
 } // namespace hetsim::cache

@@ -1,8 +1,10 @@
 #include "check/checker.hh"
 
 #include <algorithm>
+#include <atomic>
 #include <cstdlib>
 #include <cstring>
+#include <mutex>
 #include <sstream>
 
 #include "common/env.hh"
@@ -11,16 +13,37 @@
 namespace hetsim::check
 {
 
-namespace detail
-{
-std::atomic<bool> g_checkEnabled{false};
-} // namespace detail
-
 namespace
 {
 /** Collect-mode violation cap; beyond it only a counter advances so a
- *  badly broken run cannot OOM the checker. */
+ *  badly broken run cannot OOM the log. */
 constexpr std::size_t kMaxViolations = 256;
+
+std::atomic<bool> g_armed{false};
+std::atomic<Mode> g_mode{Mode::Abort};
+
+/** The violation log: the one structure armed runs share. */
+std::mutex g_logMutex;
+std::vector<Violation> g_log;     ///< guarded by g_logMutex
+std::uint64_t g_suppressed = 0;   ///< guarded by g_logMutex
+
+void
+armNow(Mode mode)
+{
+    std::lock_guard<std::mutex> lock(g_logMutex);
+    g_log.clear();
+    g_suppressed = 0;
+    g_mode = mode;
+    g_armed = true;
+}
+
+/** Apply the environment once, before the first query or override. */
+void
+configureOnce()
+{
+    static const bool configured = (configureFromEnvironment(), true);
+    (void)configured;
+}
 } // namespace
 
 const char *
@@ -83,27 +106,9 @@ toString(Rule rule)
     return "?";
 }
 
-Checker &
-Checker::instance()
-{
-    static Checker checker;
-    return checker;
-}
-
-namespace
-{
-// The hooks gate on g_checkEnabled without touching the singleton, so
-// force construction (and environment configuration) before main().
-[[maybe_unused]] const bool g_envConfigured = (Checker::instance(), true);
-} // namespace
-
-Checker::Checker()
-{
-    configureFromEnvironment();
-}
 
 void
-Checker::configureFromEnvironment()
+configureFromEnvironment()
 {
     if (!envFlag("HETSIM_CHECK", false))
         return;
@@ -115,107 +120,87 @@ Checker::configureFromEnvironment()
             fatal("HETSIM_CHECK_MODE: expected abort|collect, got '", m,
                   "'");
     }
-    enable(mode);
+    armNow(mode);
 }
 
 void
-Checker::enable(Mode mode)
+arm(Mode mode)
 {
-    std::lock_guard<std::mutex> lock(mutex_);
-    mode_ = mode;
-    clearState();
-    detail::g_checkEnabled = true;
+    configureOnce();
+    armNow(mode);
 }
 
 void
-Checker::disable()
+disarm()
 {
-    std::lock_guard<std::mutex> lock(mutex_);
-    detail::g_checkEnabled = false;
+    configureOnce();
+    g_armed = false;
 }
 
-void
-Checker::clearState()
+bool
+armed()
 {
-    violations_.clear();
-    suppressed_ = 0;
-    channels_.clear();
-    mshrLive_.clear();
-    cwfLive_.clear();
-    faultLive_.clear();
+    configureOnce();
+    return g_armed.load(std::memory_order_relaxed);
+}
+
+namespace
+{
+// A malformed HETSIM_CHECK or HETSIM_CHECK_MODE stops the program before
+// main, also when it never builds a checked component.
+[[maybe_unused]] const bool g_envApplied = armed();
+} // namespace
+
+void
+violate(Rule rule, Tick tick, std::string where, std::string message)
+{
+    if (g_mode == Mode::Abort) {
+        panic("protocol-check [", toString(rule), "] tick ", tick, " ",
+              where, ": ", message);
+    }
+    std::lock_guard<std::mutex> lock(g_logMutex);
+    if (g_log.size() >= kMaxViolations) {
+        g_suppressed += 1;
+        return;
+    }
+    g_log.push_back(
+        Violation{rule, tick, std::move(where), std::move(message)});
+}
+
+std::vector<Violation>
+violations()
+{
+    std::lock_guard<std::mutex> lock(g_logMutex);
+    return g_log;
 }
 
 std::size_t
-Checker::count(Rule rule) const
+count(Rule rule)
 {
-    std::lock_guard<std::mutex> lock(mutex_);
-    std::size_t n = 0;
-    for (const auto &v : violations_) {
-        if (v.rule == rule)
-            n += 1;
-    }
-    return n;
+    std::lock_guard<std::mutex> lock(g_logMutex);
+    return static_cast<std::size_t>(
+        std::count_if(g_log.begin(), g_log.end(),
+                      [rule](const Violation &v) { return v.rule == rule; }));
 }
 
 std::string
-Checker::report() const
+report()
 {
-    std::lock_guard<std::mutex> lock(mutex_);
+    std::lock_guard<std::mutex> lock(g_logMutex);
     std::ostringstream os;
-    os << "protocol-check: " << violations_.size() << " violation(s)";
-    if (suppressed_ > 0)
-        os << " (+" << suppressed_ << " suppressed)";
+    os << "protocol-check: " << g_log.size() << " violation(s)";
+    if (g_suppressed > 0)
+        os << " (+" << g_suppressed << " suppressed)";
     os << "\n";
-    for (const auto &v : violations_) {
+    for (const auto &v : g_log) {
         os << "  [" << toString(v.rule) << "] tick " << v.tick << " "
            << v.where << ": " << v.message << "\n";
     }
     return os.str();
 }
 
-void
-Checker::violate(Rule rule, Tick tick, std::string where,
-                 std::string message)
-{
-    if (mode_ == Mode::Abort) {
-        panic("protocol-check [", toString(rule), "] tick ", tick, " ",
-              where, ": ", message);
-    }
-    if (violations_.size() >= kMaxViolations) {
-        suppressed_ += 1;
-        return;
-    }
-    violations_.push_back(
-        Violation{rule, tick, std::move(where), std::move(message)});
-}
-
-// --------------------------------------------------------------------
-// DRAM command stream
-// --------------------------------------------------------------------
-
-Checker::ChannelState &
-Checker::stateFor(const void *chan, const std::string &name,
-                  const dram::DeviceParams &params)
-{
-    ChannelState &cs = channels_[chan];
-    if (cs.params == nullptr) {
-        cs.name = name;
-        cs.params = &params;
-    }
-    return cs;
-}
-
 namespace
 {
-std::string
-place(const std::string &chan, unsigned rank, int bank = -1)
-{
-    std::string s = "channel " + chan + " rank " + std::to_string(rank);
-    if (bank >= 0)
-        s += " bank " + std::to_string(bank);
-    return s;
-}
-
 std::string
 lateBy(const char *what, Tick at, Tick earliest)
 {
@@ -224,32 +209,63 @@ lateBy(const char *what, Tick at, Tick earliest)
 }
 } // namespace
 
-void
-Checker::checkActivate(ChannelState &cs, RankState &rs, BankState &bs,
-                       const std::string &where,
-                       const dram::DeviceParams &p, Tick at)
+// --------------------------------------------------------------------
+// DRAM command stream
+// --------------------------------------------------------------------
+
+ChannelCheck::ChannelCheck(std::string name,
+                           const dram::DeviceParams &params, unsigned ranks)
+    : name_(std::move(name)), p_(params), ranks_(ranks),
+      banks_(static_cast<std::size_t>(ranks) * params.banksPerRank)
 {
-    if (bs.lastAct != kTickNever && at < bs.lastAct + p.ticks(p.tRC))
-        violate(Rule::TRc, at, where, lateBy("ACT", at, bs.lastAct + p.ticks(p.tRC)));
-    if (bs.lastPre != kTickNever && p.tRP != 0 &&
-        at < bs.lastPre + p.ticks(p.tRP)) {
-        violate(Rule::TRp, at, where,
-                lateBy("ACT", at, bs.lastPre + p.ticks(p.tRP)));
+}
+
+ChannelCheck::BankState &
+ChannelCheck::bank(unsigned rank, unsigned bank)
+{
+    BankState &bs =
+        banks_[static_cast<std::size_t>(rank) * p_.banksPerRank + bank];
+    bs.touched = true;
+    return bs;
+}
+
+void
+ChannelCheck::fail(Rule rule, Tick at, unsigned rank, int bank,
+                   std::string message) const
+{
+    std::string where = "channel " + name_ + " rank " + std::to_string(rank);
+    if (bank >= 0)
+        where += " bank " + std::to_string(bank);
+    violate(rule, at, std::move(where), std::move(message));
+}
+
+void
+ChannelCheck::checkActivate(RankState &rs, BankState &bs, unsigned rank,
+                            unsigned bank, Tick at)
+{
+    const int b = static_cast<int>(bank);
+    if (bs.lastAct != kTickNever && at < bs.lastAct + p_.ticks(p_.tRC))
+        fail(Rule::TRc, at, rank, b,
+             lateBy("ACT", at, bs.lastAct + p_.ticks(p_.tRC)));
+    if (bs.lastPre != kTickNever && p_.tRP != 0 &&
+        at < bs.lastPre + p_.ticks(p_.tRP)) {
+        fail(Rule::TRp, at, rank, b,
+             lateBy("ACT", at, bs.lastPre + p_.ticks(p_.tRP)));
     }
-    if (p.tRRD != 0 && rs.lastActAny != kTickNever &&
-        at < rs.lastActAny + p.ticks(p.tRRD)) {
-        violate(Rule::TRrd, at, where,
-                lateBy("ACT", at, rs.lastActAny + p.ticks(p.tRRD)));
+    if (p_.tRRD != 0 && rs.lastActAny != kTickNever &&
+        at < rs.lastActAny + p_.ticks(p_.tRRD)) {
+        fail(Rule::TRrd, at, rank, b,
+             lateBy("ACT", at, rs.lastActAny + p_.ticks(p_.tRRD)));
     }
-    if (p.tFAW != 0 && rs.actCount >= 4) {
+    if (p_.tFAW != 0 && rs.actCount >= 4) {
         const Tick fourth_ago = rs.acts[rs.actIdx];
-        if (at < fourth_ago + p.ticks(p.tFAW)) {
-            violate(Rule::TFaw, at, where,
-                    "5th ACT at " + std::to_string(at) +
-                        " inside the four-activate window (4th-previous "
-                        "ACT at " +
-                        std::to_string(fourth_ago) + ", tFAW " +
-                        std::to_string(p.ticks(p.tFAW)) + " ticks)");
+        if (at < fourth_ago + p_.ticks(p_.tFAW)) {
+            fail(Rule::TFaw, at, rank, b,
+                 "5th ACT at " + std::to_string(at) +
+                     " inside the four-activate window (4th-previous "
+                     "ACT at " +
+                     std::to_string(fourth_ago) + ", tFAW " +
+                     std::to_string(p_.ticks(p_.tFAW)) + " ticks)");
         }
     }
     // Commit the activate into the rank window.
@@ -258,182 +274,175 @@ Checker::checkActivate(ChannelState &cs, RankState &rs, BankState &bs,
     rs.actCount += 1;
     rs.lastActAny = at;
     bs.lastAct = at;
-    (void)cs;
 }
 
 void
-Checker::checkColumnData(ChannelState &cs, RankState &rs,
-                         const std::string &where,
-                         const dram::DeviceParams &p, bool is_write,
-                         Tick at, unsigned rank, Tick data_start,
-                         Tick data_end)
+ChannelCheck::checkColumnData(RankState &rs, unsigned rank, unsigned bank,
+                              bool is_write, Tick at, Tick data_start,
+                              Tick data_end)
 {
+    const int b = static_cast<int>(bank);
     // Data-phase shape: CAS latency and burst occupancy.
-    const Tick expect_start = at + p.ticks(is_write ? p.tWL : p.tRL);
+    const Tick expect_start = at + p_.ticks(is_write ? p_.tWL : p_.tRL);
     if (data_start != expect_start) {
-        violate(Rule::TCas, at, where,
-                std::string(is_write ? "write" : "read") +
-                    " data starts at " + std::to_string(data_start) +
-                    ", expected issue + t" + (is_write ? "WL" : "RL") +
-                    " = " + std::to_string(expect_start));
+        fail(Rule::TCas, at, rank, b,
+             std::string(is_write ? "write" : "read") +
+                 " data starts at " + std::to_string(data_start) +
+                 ", expected issue + t" + (is_write ? "WL" : "RL") +
+                 " = " + std::to_string(expect_start));
     }
-    if (data_end != data_start + p.ticks(p.tBurst)) {
-        violate(Rule::TCas, at, where,
-                "burst ends at " + std::to_string(data_end) +
-                    ", expected " +
-                    std::to_string(data_start + p.ticks(p.tBurst)));
+    if (data_end != data_start + p_.ticks(p_.tBurst)) {
+        fail(Rule::TCas, at, rank, b,
+             "burst ends at " + std::to_string(data_end) + ", expected " +
+                 std::to_string(data_start + p_.ticks(p_.tBurst)));
     }
 
     // Shared data bus: occupancy and turnaround.
-    if (cs.anyData) {
-        if (data_start < cs.lastDataEnd) {
-            violate(Rule::BusOverlap, at, where,
-                    "data phase [" + std::to_string(data_start) + ", " +
-                        std::to_string(data_end) +
-                        ") overlaps previous transfer ending at " +
-                        std::to_string(cs.lastDataEnd));
+    if (anyData_) {
+        if (data_start < lastDataEnd_) {
+            fail(Rule::BusOverlap, at, rank, b,
+                 "data phase [" + std::to_string(data_start) + ", " +
+                     std::to_string(data_end) +
+                     ") overlaps previous transfer ending at " +
+                     std::to_string(lastDataEnd_));
         }
-        const bool rank_switch =
-            cs.lastDataRank != static_cast<int>(rank);
-        const bool dir_switch = cs.lastDataWasWrite != is_write;
+        const bool rank_switch = lastDataRank_ != static_cast<int>(rank);
+        const bool dir_switch = lastDataWasWrite_ != is_write;
         if ((rank_switch || dir_switch) &&
-            data_start < cs.lastDataEnd + p.ticks(p.tRTRS)) {
-            violate(Rule::BusTurnaround, at, where,
-                    lateBy(rank_switch ? "rank-switch data"
-                                       : "direction-switch data",
-                           data_start, cs.lastDataEnd + p.ticks(p.tRTRS)));
+            data_start < lastDataEnd_ + p_.ticks(p_.tRTRS)) {
+            fail(Rule::BusTurnaround, at, rank, b,
+                 lateBy(rank_switch ? "rank-switch data"
+                                    : "direction-switch data",
+                        data_start, lastDataEnd_ + p_.ticks(p_.tRTRS)));
         }
     }
-    if (!is_write && p.tWTR != 0 &&
-        at < rs.lastWriteDataEnd + p.ticks(p.tWTR)) {
-        violate(Rule::TWtr, at, where,
-                lateBy("read after write", at,
-                       rs.lastWriteDataEnd + p.ticks(p.tWTR)));
+    if (!is_write && p_.tWTR != 0 &&
+        at < rs.lastWriteDataEnd + p_.ticks(p_.tWTR)) {
+        fail(Rule::TWtr, at, rank, b,
+             lateBy("read after write", at,
+                    rs.lastWriteDataEnd + p_.ticks(p_.tWTR)));
     }
 
-    cs.lastDataEnd = data_end;
-    cs.lastDataRank = static_cast<int>(rank);
-    cs.lastDataWasWrite = is_write;
-    cs.anyData = true;
+    lastDataEnd_ = data_end;
+    lastDataRank_ = static_cast<int>(rank);
+    lastDataWasWrite_ = is_write;
+    anyData_ = true;
     if (is_write)
         rs.lastWriteDataEnd = std::max(rs.lastWriteDataEnd, data_end);
 }
 
 void
-Checker::checkPrechargeRecovery(const BankState &bs,
-                                const std::string &where,
-                                const dram::DeviceParams &p, Tick at)
+ChannelCheck::checkPrechargeRecovery(const BankState &bs, unsigned rank,
+                                     unsigned bank, Tick at) const
 {
-    if (bs.lastAct != kTickNever && at < bs.lastAct + p.ticks(p.tRAS))
-        violate(Rule::TRas, at, where, lateBy("PRE", at, bs.lastAct + p.ticks(p.tRAS)));
+    const int b = static_cast<int>(bank);
+    if (bs.lastAct != kTickNever && at < bs.lastAct + p_.ticks(p_.tRAS))
+        fail(Rule::TRas, at, rank, b,
+             lateBy("PRE", at, bs.lastAct + p_.ticks(p_.tRAS)));
     if (bs.lastReadCol != kTickNever &&
-        at < bs.lastReadCol + p.ticks(p.tRTP)) {
-        violate(Rule::TRtp, at, where,
-                lateBy("PRE", at, bs.lastReadCol + p.ticks(p.tRTP)));
+        at < bs.lastReadCol + p_.ticks(p_.tRTP)) {
+        fail(Rule::TRtp, at, rank, b,
+             lateBy("PRE", at, bs.lastReadCol + p_.ticks(p_.tRTP)));
     }
     if (bs.lastWriteCol != kTickNever &&
-        at < bs.lastWriteCol + p.ticks(p.tWL + p.tBurst + p.tWR)) {
-        violate(Rule::TWr, at, where,
-                lateBy("PRE", at,
-                       bs.lastWriteCol +
-                           p.ticks(p.tWL + p.tBurst + p.tWR)));
+        at < bs.lastWriteCol + p_.ticks(p_.tWL + p_.tBurst + p_.tWR)) {
+        fail(Rule::TWr, at, rank, b,
+             lateBy("PRE", at,
+                    bs.lastWriteCol + p_.ticks(p_.tWL + p_.tBurst + p_.tWR)));
     }
 }
 
 void
-Checker::dramCommand(const void *chan, const std::string &name,
-                     const dram::DeviceParams &params, dram::DramCmd cmd,
-                     Tick at, const dram::DramCoord &coord, Tick data_start,
-                     Tick data_end)
+ChannelCheck::closeRank(unsigned rank, Tick at)
 {
-    std::lock_guard<std::mutex> lock(mutex_);
-    ChannelState &cs = stateFor(chan, name, params);
-    const dram::DeviceParams &p = params;
+    for (unsigned b = 0; b < p_.banksPerRank; ++b) {
+        BankState &bs =
+            banks_[static_cast<std::size_t>(rank) * p_.banksPerRank + b];
+        if (!bs.touched)
+            continue;
+        if (bs.open)
+            checkPrechargeRecovery(bs, rank, b, at);
+        bs.open = false;
+        bs.lastPre = bs.lastPre == kTickNever ? at : std::max(bs.lastPre, at);
+    }
+}
+
+void
+ChannelCheck::command(dram::DramCmd cmd, Tick at,
+                      const dram::DramCoord &coord, Tick data_start,
+                      Tick data_end)
+{
     const unsigned rank = coord.rank;
-    const unsigned bank = coord.bank;
+    const unsigned b = coord.bank;
 
     // Memory-cycle grid: all commands share the phase established by the
     // first command (the controller acts on cycle boundaries only).
-    if (cs.firstCmd == kTickNever) {
-        cs.firstCmd = at;
+    if (firstCmd_ == kTickNever) {
+        firstCmd_ = at;
     } else {
-        if (at < cs.lastCmd) {
-            violate(Rule::CycleAlign, at, place(cs.name, rank),
-                    "command time went backwards (previous at " +
-                        std::to_string(cs.lastCmd) + ")");
+        if (at < lastCmd_) {
+            fail(Rule::CycleAlign, at, rank, -1,
+                 "command time went backwards (previous at " +
+                     std::to_string(lastCmd_) + ")");
         }
-        if ((at >= cs.firstCmd ? at - cs.firstCmd : cs.firstCmd - at) %
-                p.clockDivider != 0) {
-            violate(Rule::CycleAlign, at, place(cs.name, rank),
-                    "command off the " + std::to_string(p.clockDivider) +
-                        "-tick memory-cycle grid (phase reference " +
-                        std::to_string(cs.firstCmd) + ")");
-            cs.firstCmd = at; // re-base to avoid cascading reports
+        if ((at >= firstCmd_ ? at - firstCmd_ : firstCmd_ - at) %
+                p_.clockDivider != 0) {
+            fail(Rule::CycleAlign, at, rank, -1,
+                 "command off the " + std::to_string(p_.clockDivider) +
+                     "-tick memory-cycle grid (phase reference " +
+                     std::to_string(firstCmd_) + ")");
+            firstCmd_ = at; // re-base to avoid cascading reports
         }
     }
-    cs.lastCmd = at;
+    lastCmd_ = at;
 
-    RankState &rs = cs.ranks[rank];
-    const std::string rank_where = place(cs.name, rank);
-
+    RankState &rs = ranks_[rank];
     if (rs.poweredDown) {
-        violate(Rule::PowerState, at, rank_where,
-                std::string(dram::toString(cmd)) +
-                    " issued to a powered-down rank");
+        fail(Rule::PowerState, at, rank, -1,
+             std::string(dram::toString(cmd)) +
+                 " issued to a powered-down rank");
     } else if (at < rs.wakeReady) {
-        violate(Rule::PowerState, at, rank_where,
-                lateBy(dram::toString(cmd), at, rs.wakeReady));
+        fail(Rule::PowerState, at, rank, -1,
+             lateBy(dram::toString(cmd), at, rs.wakeReady));
     }
     if (at < rs.refreshUntil) {
-        violate(Rule::RefreshOverlap, at, rank_where,
-                std::string(dram::toString(cmd)) +
-                    " during refresh (tRFC runs until " +
-                    std::to_string(rs.refreshUntil) + ")");
+        fail(Rule::RefreshOverlap, at, rank, -1,
+             std::string(dram::toString(cmd)) +
+                 " during refresh (tRFC runs until " +
+                 std::to_string(rs.refreshUntil) + ")");
     }
 
     if (cmd == dram::DramCmd::Refresh) {
-        // All-bank refresh: every open bank is implicitly precharged, so
-        // each must satisfy precharge recovery now.
-        if (p.tREFI != 0 && rs.lastRefreshStart != kTickNever) {
+        if (p_.tREFI != 0 && rs.lastRefreshStart != kTickNever) {
             // Catch-up scheduling keeps the long-run average at tREFI;
             // allow generous slack for transient blocking before
             // declaring the rank has fallen off its refresh schedule.
             const Tick bound = rs.lastRefreshStart +
-                               4 * p.ticks(p.tREFI) + p.ticks(p.tRFC);
+                               4 * p_.ticks(p_.tREFI) + p_.ticks(p_.tRFC);
             if (at > bound) {
-                violate(Rule::RefreshSpacing, at, rank_where,
-                        "refresh gap " +
-                            std::to_string(at - rs.lastRefreshStart) +
-                            " ticks exceeds 4x tREFI + tRFC = " +
-                            std::to_string(bound - rs.lastRefreshStart));
+                fail(Rule::RefreshSpacing, at, rank, -1,
+                     "refresh gap " +
+                         std::to_string(at - rs.lastRefreshStart) +
+                         " ticks exceeds 4x tREFI + tRFC = " +
+                         std::to_string(bound - rs.lastRefreshStart));
             }
         }
-        for (auto &[key, bs] : cs.banks) {
-            if (key.first != rank)
-                continue;
-            if (bs.open) {
-                checkPrechargeRecovery(
-                    bs, place(cs.name, rank, static_cast<int>(key.second)),
-                    p, at);
-            }
-            bs.open = false;
-            bs.lastPre = bs.lastPre == kTickNever ? at
-                                                  : std::max(bs.lastPre, at);
-        }
+        // All-bank refresh: every open bank is implicitly precharged, so
+        // each must satisfy precharge recovery now.
+        closeRank(rank, at);
         rs.lastRefreshStart = at;
-        rs.refreshUntil = at + p.ticks(p.tRFC);
+        rs.refreshUntil = at + p_.ticks(p_.tRFC);
         return;
     }
 
-    BankState &bs = cs.banks[{rank, bank}];
-    const std::string where = place(cs.name, rank, static_cast<int>(bank));
+    BankState &bs = bank(rank, b);
+    const int where_bank = static_cast<int>(b);
 
     switch (cmd) {
       case dram::DramCmd::Activate: {
-        if (bs.open) {
-            violate(Rule::BankState, at, where, "ACT to an open bank");
-        }
-        checkActivate(cs, rs, bs, where, p, at);
+        if (bs.open)
+            fail(Rule::BankState, at, rank, where_bank, "ACT to an open bank");
+        checkActivate(rs, bs, rank, b, at);
         bs.open = true;
         break;
       }
@@ -441,32 +450,31 @@ Checker::dramCommand(const void *chan, const std::string &name,
       case dram::DramCmd::Write: {
         const bool is_write = cmd == dram::DramCmd::Write;
         if (!bs.open) {
-            violate(Rule::BankState, at, where,
-                    std::string(dram::toString(cmd)) + " to a closed bank");
+            fail(Rule::BankState, at, rank, where_bank,
+                 std::string(dram::toString(cmd)) + " to a closed bank");
         }
-        if (bs.lastAct != kTickNever && at < bs.lastAct + p.ticks(p.tRCD)) {
-            violate(Rule::TRcd, at, where,
-                    lateBy(dram::toString(cmd), at,
-                           bs.lastAct + p.ticks(p.tRCD)));
+        if (bs.lastAct != kTickNever && at < bs.lastAct + p_.ticks(p_.tRCD)) {
+            fail(Rule::TRcd, at, rank, where_bank,
+                 lateBy(dram::toString(cmd), at,
+                        bs.lastAct + p_.ticks(p_.tRCD)));
         }
-        if (bs.lastCol != kTickNever && at < bs.lastCol + p.ticks(p.tCCD)) {
-            violate(Rule::TCcd, at, where,
-                    lateBy(dram::toString(cmd), at,
-                           bs.lastCol + p.ticks(p.tCCD)));
+        if (bs.lastCol != kTickNever && at < bs.lastCol + p_.ticks(p_.tCCD)) {
+            fail(Rule::TCcd, at, rank, where_bank,
+                 lateBy(dram::toString(cmd), at,
+                        bs.lastCol + p_.ticks(p_.tCCD)));
         }
-        checkColumnData(cs, rs, where, p, is_write, at, rank, data_start,
-                        data_end);
+        checkColumnData(rs, rank, b, is_write, at, data_start, data_end);
         bs.lastCol = at;
         if (is_write)
             bs.lastWriteCol = at;
         else
             bs.lastReadCol = at;
-        if (p.policy == dram::PagePolicy::Close) {
+        if (p_.policy == dram::PagePolicy::Close) {
             // Auto-precharge folded into the column command: the bank
             // closes after read-to-precharge / write recovery.
             const unsigned recover =
-                is_write ? p.tWL + p.tBurst + p.tWR : p.tRTP;
-            const Tick pre_at = at + p.ticks(recover);
+                is_write ? p_.tWL + p_.tBurst + p_.tWR : p_.tRTP;
+            const Tick pre_at = at + p_.ticks(recover);
             bs.open = false;
             bs.lastPre = bs.lastPre == kTickNever
                              ? pre_at
@@ -478,8 +486,8 @@ Checker::dramCommand(const void *chan, const std::string &name,
       }
       case dram::DramCmd::Precharge: {
         if (!bs.open)
-            violate(Rule::BankState, at, where, "PRE to a closed bank");
-        checkPrechargeRecovery(bs, where, p, at);
+            fail(Rule::BankState, at, rank, where_bank, "PRE to a closed bank");
+        checkPrechargeRecovery(bs, rank, b, at);
         bs.open = false;
         bs.lastPre = at;
         bs.lastReadCol = kTickNever;
@@ -492,12 +500,11 @@ Checker::dramCommand(const void *chan, const std::string &name,
         // auto-precharge; bank turns around in tRC.
         const bool is_write = cmd == dram::DramCmd::CompoundWrite;
         if (bs.open) {
-            violate(Rule::BankState, at, where,
-                    "compound access to a bank with an open row");
+            fail(Rule::BankState, at, rank, where_bank,
+                 "compound access to a bank with an open row");
         }
-        checkActivate(cs, rs, bs, where, p, at);
-        checkColumnData(cs, rs, where, p, is_write, at, rank, data_start,
-                        data_end);
+        checkActivate(rs, bs, rank, b, at);
+        checkColumnData(rs, rank, b, is_write, at, data_start, data_end);
         break;
       }
       case dram::DramCmd::Refresh:
@@ -506,106 +513,87 @@ Checker::dramCommand(const void *chan, const std::string &name,
 }
 
 void
-Checker::rankPowerDown(const void *chan, const std::string &name,
-                       const dram::DeviceParams &params, unsigned rank,
-                       Tick at)
+ChannelCheck::powerDown(unsigned rank, Tick at)
 {
-    std::lock_guard<std::mutex> lock(mutex_);
-    ChannelState &cs = stateFor(chan, name, params);
-    RankState &rs = cs.ranks[rank];
-    if (rs.poweredDown) {
-        violate(Rule::PowerState, at, place(cs.name, rank),
-                "double power-down entry");
-    }
-    if (at < rs.refreshUntil) {
-        violate(Rule::RefreshOverlap, at, place(cs.name, rank),
-                "power-down entry during refresh");
-    }
+    RankState &rs = ranks_[rank];
+    if (rs.poweredDown)
+        fail(Rule::PowerState, at, rank, -1, "double power-down entry");
+    if (at < rs.refreshUntil)
+        fail(Rule::RefreshOverlap, at, rank, -1,
+             "power-down entry during refresh");
     // Precharge power-down: entry force-closes all rows, so open banks
     // must satisfy precharge recovery and take an implicit PRE stamp.
-    for (auto &[key, bs] : cs.banks) {
-        if (key.first != rank)
-            continue;
-        if (bs.open) {
-            checkPrechargeRecovery(
-                bs, place(cs.name, rank, static_cast<int>(key.second)),
-                params, at);
-        }
-        bs.open = false;
-        bs.lastPre =
-            bs.lastPre == kTickNever ? at : std::max(bs.lastPre, at);
+    closeRank(rank, at);
+    for (unsigned b = 0; b < p_.banksPerRank; ++b) {
+        BankState &bs =
+            banks_[static_cast<std::size_t>(rank) * p_.banksPerRank + b];
         bs.lastReadCol = kTickNever;
         bs.lastWriteCol = kTickNever;
     }
     rs.poweredDown = true;
-    rs.wakeReady = at + params.ticks(params.tCKE);
+    rs.wakeReady = at + p_.ticks(p_.tCKE);
 }
 
 void
-Checker::rankWake(const void *chan, const std::string &name,
-                  const dram::DeviceParams &params, unsigned rank, Tick at)
+ChannelCheck::wake(unsigned rank, Tick at)
 {
-    std::lock_guard<std::mutex> lock(mutex_);
-    ChannelState &cs = stateFor(chan, name, params);
-    RankState &rs = cs.ranks[rank];
-    if (!rs.poweredDown) {
-        violate(Rule::PowerState, at, place(cs.name, rank),
-                "power-down exit while awake");
-    }
+    RankState &rs = ranks_[rank];
+    if (!rs.poweredDown)
+        fail(Rule::PowerState, at, rank, -1, "power-down exit while awake");
     rs.poweredDown = false;
-    rs.wakeReady = std::max(rs.wakeReady, at) + params.ticks(params.tXP);
-}
-
-void
-Checker::channelDestroyed(const void *chan)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    channels_.erase(chan);
+    rs.wakeReady = std::max(rs.wakeReady, at) + p_.ticks(p_.tXP);
 }
 
 // --------------------------------------------------------------------
-// MSHR lifecycle
+// Live-id sets: MSHR lifecycle and fault-injection accounting
 // --------------------------------------------------------------------
 
-namespace
-{
-template <typename Map>
 void
-eraseDomain(Map &map, const void *domain)
+LiveIds::fail(std::uint64_t id, Tick at, std::string message) const
 {
-    auto it = map.lower_bound({domain, 0});
-    while (it != map.end() && it->first.first == domain)
-        it = map.erase(it);
+    const bool mshr = kind_ == Kind::Mshr;
+    violate(mshr ? Rule::MshrLeak : Rule::Fault, at,
+            (mshr ? "mshr " : "fault ") + std::to_string(id),
+            std::move(message));
 }
-} // namespace
 
 void
-Checker::mshrAlloc(const void *domain, std::uint64_t id, Tick at)
+LiveIds::add(std::uint64_t id, Tick at)
 {
-    std::lock_guard<std::mutex> lock(mutex_);
-    const auto [it, inserted] = mshrLive_.emplace(
-        std::make_pair(domain, id), at);
-    if (!inserted) {
-        violate(Rule::MshrLeak, at, "mshr " + std::to_string(id),
-                "allocation of an already-live MSHR id");
+    if (!live_.emplace(id, at).second) {
+        fail(id, at,
+             kind_ == Kind::Mshr ? "allocation of an already-live MSHR id"
+                                 : "duplicate injection of fault id");
     }
 }
 
 void
-Checker::mshrRelease(const void *domain, std::uint64_t id, Tick at)
+LiveIds::remove(std::uint64_t id, Tick at)
 {
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (mshrLive_.erase({domain, id}) == 0) {
-        violate(Rule::MshrLeak, at, "mshr " + std::to_string(id),
-                "release of an MSHR id that was never allocated");
+    if (live_.erase(id) == 0) {
+        fail(id, at,
+             kind_ == Kind::Mshr
+                 ? "release of an MSHR id that was never allocated"
+                 : "resolution of a fault that is not live (double-resolve "
+                   "or never injected)");
     }
 }
 
 void
-Checker::mshrDomainDestroyed(const void *domain)
+LiveIds::drain()
 {
-    std::lock_guard<std::mutex> lock(mutex_);
-    eraseDomain(mshrLive_, domain);
+    for (const auto &[id, tick] : live_) {
+        if (kind_ == Kind::Mshr) {
+            fail(id, tick,
+                 "MSHR allocated at tick " + std::to_string(tick) +
+                     " never released");
+        } else {
+            fail(id, tick,
+                 "fault injected at tick " + std::to_string(tick) +
+                     " never resolved (the line never completed)");
+        }
+    }
+    live_.clear();
 }
 
 // --------------------------------------------------------------------
@@ -613,11 +601,9 @@ Checker::mshrDomainDestroyed(const void *domain)
 // --------------------------------------------------------------------
 
 void
-Checker::cwfFillIssued(const void *domain, std::uint64_t id, Tick at)
+FillCheck::issued(std::uint64_t id, Tick at)
 {
-    std::lock_guard<std::mutex> lock(mutex_);
-    const auto [it, inserted] =
-        cwfLive_.emplace(std::make_pair(domain, id), FillState{});
+    const auto [it, inserted] = live_.emplace(id, FillState{});
     if (!inserted) {
         violate(Rule::CwfFragment, at, "fill " + std::to_string(id),
                 "fill re-issued while a fill with the same MSHR id is "
@@ -628,19 +614,16 @@ Checker::cwfFillIssued(const void *domain, std::uint64_t id, Tick at)
 }
 
 void
-Checker::cwfFragment(const void *domain, std::uint64_t id, bool fast,
-                     Tick at)
+FillCheck::fragment(std::uint64_t id, bool fast, Tick at)
 {
-    std::lock_guard<std::mutex> lock(mutex_);
-    const auto it = cwfLive_.find({domain, id});
-    if (it == cwfLive_.end()) {
+    const auto it = live_.find(id);
+    if (it == live_.end()) {
         violate(Rule::CwfFragment, at, "fill " + std::to_string(id),
                 std::string(fast ? "fast" : "slow") +
                     " fragment without a pending fill");
         return;
     }
-    FillState &fill = it->second;
-    Tick &slot = fast ? fill.fastTick : fill.slowTick;
+    Tick &slot = fast ? it->second.fastTick : it->second.slowTick;
     if (slot != kTickNever) {
         violate(Rule::CwfFragment, at, "fill " + std::to_string(id),
                 std::string("duplicate ") + (fast ? "fast" : "slow") +
@@ -651,14 +634,12 @@ Checker::cwfFragment(const void *domain, std::uint64_t id, bool fast,
 }
 
 void
-Checker::cwfComplete(const void *domain, std::uint64_t id, Tick fast_tick,
-                     Tick slow_tick, Tick done_tick)
+FillCheck::complete(std::uint64_t id, Tick fast_tick, Tick slow_tick,
+                    Tick done_tick)
 {
-    std::lock_guard<std::mutex> lock(mutex_);
-    const auto it = cwfLive_.find({domain, id});
-    if (it == cwfLive_.end()) {
-        violate(Rule::CwfFragment, done_tick,
-                "fill " + std::to_string(id),
+    const auto it = live_.find(id);
+    if (it == live_.end()) {
+        violate(Rule::CwfFragment, done_tick, "fill " + std::to_string(id),
                 "completion without a pending fill");
         return;
     }
@@ -673,58 +654,59 @@ Checker::cwfComplete(const void *domain, std::uint64_t id, Tick fast_tick,
                     " != max(fast " + std::to_string(fast_tick) +
                     ", slow " + std::to_string(slow_tick) + ")");
     }
-    cwfLive_.erase(it);
+    live_.erase(it);
 }
 
 void
-Checker::cwfDomainDestroyed(const void *domain)
+FillCheck::drain()
 {
-    std::lock_guard<std::mutex> lock(mutex_);
-    eraseDomain(cwfLive_, domain);
+    for (const auto &[id, fill] : live_) {
+        violate(Rule::MshrLeak, fill.issued, "fill " + std::to_string(id),
+                "CWF fill issued at tick " + std::to_string(fill.issued) +
+                    " never completed");
+    }
+    live_.clear();
 }
 
 // --------------------------------------------------------------------
-// Hierarchy-side CWF invariants
+// Stateless rules
 // --------------------------------------------------------------------
 
 void
-Checker::earlyWake(std::uint64_t id, Tick at, bool fast_arrived,
-                   Tick fast_tick, bool parity_ok)
+earlyWake(std::uint64_t id, Tick at, bool fast_arrived, Tick fast_tick,
+          bool parity_ok)
 {
-    std::lock_guard<std::mutex> lock(mutex_);
-    const std::string where = "mshr " + std::to_string(id);
+    const auto where = [id] { return "mshr " + std::to_string(id); };
     if (!fast_arrived) {
-        violate(Rule::EarlyWake, at, where,
+        violate(Rule::EarlyWake, at, where(),
                 "early wake before the fast word arrived");
         return;
     }
     if (at < fast_tick) {
-        violate(Rule::EarlyWake, at, where,
+        violate(Rule::EarlyWake, at, where(),
                 "early wake at " + std::to_string(at) +
                     " precedes fast-word arrival at " +
                     std::to_string(fast_tick));
     }
     if (!parity_ok) {
-        violate(Rule::EarlyWake, at, where,
+        violate(Rule::EarlyWake, at, where(),
                 "early wake from a fast word that failed parity");
     }
 }
 
 void
-Checker::lineComplete(std::uint64_t id, Tick at, bool has_fast,
-                      bool fast_arrived, Tick fast_tick)
+lineComplete(std::uint64_t id, Tick at, bool has_fast, bool fast_arrived,
+             Tick fast_tick)
 {
-    std::lock_guard<std::mutex> lock(mutex_);
     if (!has_fast)
         return;
-    const std::string where = "mshr " + std::to_string(id);
     if (!fast_arrived) {
-        violate(Rule::FastLead, at, where,
+        violate(Rule::FastLead, at, "mshr " + std::to_string(id),
                 "line completed before its fast fragment");
         return;
     }
     if (at < fast_tick) {
-        violate(Rule::FastLead, at, where,
+        violate(Rule::FastLead, at, "mshr " + std::to_string(id),
                 "negative fast-word lead: completion at " +
                     std::to_string(at) + " precedes fast arrival at " +
                     std::to_string(fast_tick));
@@ -732,11 +714,10 @@ Checker::lineComplete(std::uint64_t id, Tick at, bool has_fast,
 }
 
 void
-Checker::l1Hit(Addr line, unsigned core, Tick at, bool mshr_live)
+l1Hit(Addr line, unsigned core, Tick at, bool mshr_live)
 {
     if (!mshr_live)
-        return; // stateless: only a violation needs the lock
-    std::lock_guard<std::mutex> lock(mutex_);
+        return;
     std::ostringstream where;
     where << "l1." << core << " line 0x" << std::hex << line;
     violate(Rule::L1HitMshr, at, where.str(),
@@ -744,16 +725,12 @@ Checker::l1Hit(Addr line, unsigned core, Tick at, bool mshr_live)
             "skipped a join)");
 }
 
-// --------------------------------------------------------------------
-// Latency-attribution phase ledger
-// --------------------------------------------------------------------
-
 void
-Checker::phaseLedger(const std::string &name, const dram::MemRequest &req)
+phaseLedger(const std::string &channel, const dram::MemRequest &req)
 {
-    std::lock_guard<std::mutex> lock(mutex_);
-    const std::string where =
-        "channel " + name + " req " + std::to_string(req.id);
+    const auto where = [&] {
+        return "channel " + channel + " req " + std::to_string(req.id);
+    };
     const Tick at = req.complete == kTickNever ? req.enqueue : req.complete;
 
     // Stamp monotonicity: enqueue <= prepIssue <= columnIssue <=
@@ -770,7 +747,7 @@ Checker::phaseLedger(const std::string &name, const dram::MemRequest &req)
         if (stamp.tick == kTickNever)
             continue;
         if (stamp.tick < prev) {
-            violate(Rule::PhaseLedger, at, where,
+            violate(Rule::PhaseLedger, at, where(),
                     std::string(stamp.label) + " at " +
                         std::to_string(stamp.tick) +
                         " precedes an earlier phase stamp at " +
@@ -786,7 +763,7 @@ Checker::phaseLedger(const std::string &name, const dram::MemRequest &req)
     const Tick sum = req.queuePhase() + req.prepPhase() + req.casPhase() +
                      req.busPhase();
     if (sum != req.totalLatency()) {
-        violate(Rule::PhaseLedger, at, where,
+        violate(Rule::PhaseLedger, at, where(),
                 "phase sum " + std::to_string(sum) +
                     " != end-to-end latency " +
                     std::to_string(req.totalLatency()) + " (queue " +
@@ -795,71 +772,6 @@ Checker::phaseLedger(const std::string &name, const dram::MemRequest &req)
                     std::to_string(req.casPhase()) + " + bus " +
                     std::to_string(req.busPhase()) + ")");
     }
-}
-
-// --------------------------------------------------------------------
-// Fault-injection accounting
-// --------------------------------------------------------------------
-
-void
-Checker::faultInjected(const void *domain, std::uint64_t fault_id,
-                       Tick at)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    const auto [it, inserted] =
-        faultLive_.emplace(std::make_pair(domain, fault_id), at);
-    if (!inserted) {
-        violate(Rule::Fault, at, "fault " + std::to_string(fault_id),
-                "duplicate injection of fault id");
-    }
-}
-
-void
-Checker::faultResolved(const void *domain, std::uint64_t fault_id, Tick at)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (faultLive_.erase({domain, fault_id}) == 0) {
-        violate(Rule::Fault, at, "fault " + std::to_string(fault_id),
-                "resolution of a fault that is not live (double-resolve "
-                "or never injected)");
-    }
-}
-
-void
-Checker::faultDomainDestroyed(const void *domain)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    eraseDomain(faultLive_, domain);
-}
-
-// --------------------------------------------------------------------
-// End-of-run leak detection
-// --------------------------------------------------------------------
-
-void
-Checker::finalizeAll()
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    for (const auto &[key, tick] : mshrLive_) {
-        violate(Rule::MshrLeak, tick, "mshr " + std::to_string(key.second),
-                "MSHR allocated at tick " + std::to_string(tick) +
-                    " never released");
-    }
-    mshrLive_.clear();
-    for (const auto &[key, fill] : cwfLive_) {
-        violate(Rule::MshrLeak, fill.issued,
-                "fill " + std::to_string(key.second),
-                "CWF fill issued at tick " + std::to_string(fill.issued) +
-                    " never completed");
-    }
-    cwfLive_.clear();
-    for (const auto &[key, tick] : faultLive_) {
-        violate(Rule::Fault, tick,
-                "fault " + std::to_string(key.second),
-                "fault injected at tick " + std::to_string(tick) +
-                    " never resolved (the line never completed)");
-    }
-    faultLive_.clear();
 }
 
 } // namespace hetsim::check

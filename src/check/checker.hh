@@ -20,13 +20,18 @@
  *     non-negative, a CWF line completes only after both of its
  *     fragments, fragments never duplicate, no L1 hit lands on a line
  *     with a live MSHR, and every MSHR allocation is eventually drained
- *     (leak detection via finalizeAll()).
+ *     (leak detection via each owner's checkDrained()).
  *
- * Cost model mirrors common/trace.hh: when checking is disabled (the
- * default) every hook is a single load+branch on a global flag.  Enable
- * from the environment or programmatically:
+ * Each rule's state lives in the component it checks: a dram::Channel
+ * owns a ChannelCheck, a cache::MshrFile and a fault::FaultModel own
+ * LiveIds, a cwf::CwfHeteroMemory owns a FillCheck.  A component builds
+ * its check at construction iff the process is armed() and holds a null
+ * pointer otherwise, so an unarmed hook is one not-taken branch on a
+ * member and an armed one touches no shared state.  The stateless rules
+ * are free functions.  The one process-wide structure is the violation
+ * log, locked only on the path that records a violation.
  *
- *   HETSIM_CHECK=1           enable (abort mode: first violation panics
+ *   HETSIM_CHECK=1           arm (abort mode: first violation panics
  *                            with a structured report); takes
  *                            0|1|false|true|off|on, anything else is fatal
  *   HETSIM_CHECK_MODE=collect  record violations instead of aborting
@@ -39,11 +44,9 @@
 #ifndef HETSIM_CHECK_CHECKER_HH
 #define HETSIM_CHECK_CHECKER_HH
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <map>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -79,7 +82,7 @@ enum class Rule : std::uint8_t {
     CwfCompletion,   ///< completion tick != max(fast, slow)
     EarlyWake,       ///< wake before fast-word arrival or on bad parity
     FastLead,        ///< line completed before fast fragment / negative lead
-    MshrLeak,        ///< MSHR entry never drained (finalizeAll)
+    MshrLeak,        ///< MSHR entry never drained (checkDrained)
     L1HitMshr,       ///< L1 hit on a line with a live MSHR
     PhaseLedger,     ///< phase ledger does not partition [enqueue, complete]
     Fault,           ///< injected fault never resolved / double-resolved
@@ -101,115 +104,65 @@ enum class Mode : std::uint8_t {
     Collect, ///< record and keep going (negative tests, fuzzing)
 };
 
-namespace detail
-{
-/** Hot-path gate; read by the inline hook wrappers below.  Atomic so
- *  parallel sweep workers can race the gate benignly (relaxed loads —
- *  callers must not enable/disable while simulations are running). */
-extern std::atomic<bool> g_checkEnabled;
-} // namespace detail
+/** Components built from now on carry checks; clears the violation
+ *  log.  Call only while no simulation is running. */
+void arm(Mode mode = Mode::Abort);
 
-class Checker
+/** Components built from now on carry no checks; the log is kept for
+ *  inspection until the next arm(). */
+void disarm();
+
+/** Whether a component built now carries checks.  HETSIM_CHECK /
+ *  HETSIM_CHECK_MODE apply before main, or at the first call of this
+ *  or arm()/disarm() if that comes earlier. */
+bool armed();
+
+/** Apply HETSIM_CHECK and HETSIM_CHECK_MODE; a malformed value is
+ *  fatal. */
+void configureFromEnvironment();
+
+/** Panic (Abort mode) or append to the log (Collect mode). */
+void violate(Rule rule, Tick tick, std::string where, std::string message);
+
+/** Every violation recorded since arm() (Collect mode; Abort mode
+ *  panics before a second one can accumulate). */
+std::vector<Violation> violations();
+
+/** Violations recorded for @p rule. */
+std::size_t count(Rule rule);
+
+/** Structured multi-line report of every recorded violation. */
+std::string report();
+
+// ---- stateless rules (hierarchy and channel call them while armed) ----
+
+void earlyWake(std::uint64_t id, Tick at, bool fast_arrived, Tick fast_tick,
+               bool parity_ok);
+void lineComplete(std::uint64_t id, Tick at, bool has_fast,
+                  bool fast_arrived, Tick fast_tick);
+/** An L1 hit; @p mshr_live says the line also has an MSHR, which L2
+ *  inclusion rules out (the hierarchy resolves L1 hits first). */
+void l1Hit(Addr line, unsigned core, Tick at, bool mshr_live);
+/** The latency-attribution ledger of a completed read on @p channel. */
+void phaseLedger(const std::string &channel, const dram::MemRequest &req);
+
+/** One channel's command stream, re-derived bank by bank. */
+class ChannelCheck
 {
   public:
-    /** Process-wide instance, configured from the environment on first
-     *  use (see file header for the knobs). */
-    static Checker &instance();
+    ChannelCheck(std::string name, const dram::DeviceParams &params,
+                 unsigned ranks);
 
-    bool enabled() const { return detail::g_checkEnabled; }
-    Mode mode() const { return mode_; }
-
-    /** Enable checking; clears all tracked state and past violations. */
-    void enable(Mode mode = Mode::Abort);
-
-    /** Stop checking; tracked state and violations are retained for
-     *  inspection until the next enable(). */
-    void disable();
-
-    /** All violations recorded since enable() (Collect mode; Abort mode
-     *  panics before a second one can accumulate).  Returns a reference
-     *  into checker state: inspect only after concurrent runs finish. */
-    const std::vector<Violation> &violations() const { return violations_; }
-
-    /** Violations recorded for @p rule. */
-    std::size_t count(Rule rule) const;
-
-    /** Structured multi-line report of every recorded violation. */
-    std::string report() const;
-
-    /**
-     * End-of-run leak detection: every MSHR allocation still live and
-     * every CWF fill still pending becomes a MshrLeak violation.  Call
-     * only after draining the system (backends idle, MSHRs released);
-     * runs that stop mid-flight legitimately hold live entries.
-     */
-    void finalizeAll();
-
-    // ---- DRAM command stream (one funnel: Channel::recordAudit) ----
-    void dramCommand(const void *chan, const std::string &name,
-                     const dram::DeviceParams &params, dram::DramCmd cmd,
-                     Tick at, const dram::DramCoord &coord, Tick data_start,
-                     Tick data_end);
-    void rankPowerDown(const void *chan, const std::string &name,
-                       const dram::DeviceParams &params, unsigned rank,
-                       Tick at);
-    void rankWake(const void *chan, const std::string &name,
-                  const dram::DeviceParams &params, unsigned rank, Tick at);
-    void channelDestroyed(const void *chan);
-
-    // ---- MSHR lifecycle ----
-    void mshrAlloc(const void *domain, std::uint64_t id, Tick at);
-    void mshrRelease(const void *domain, std::uint64_t id, Tick at);
-    void mshrDomainDestroyed(const void *domain);
-
-    // ---- CWF two-fragment fill protocol ----
-    void cwfFillIssued(const void *domain, std::uint64_t id, Tick at);
-    void cwfFragment(const void *domain, std::uint64_t id, bool fast,
-                     Tick at);
-    void cwfComplete(const void *domain, std::uint64_t id, Tick fast_tick,
-                     Tick slow_tick, Tick done_tick);
-    void cwfDomainDestroyed(const void *domain);
-
-    // ---- hierarchy-side CWF invariants (stateless) ----
-    void earlyWake(std::uint64_t id, Tick at, bool fast_arrived,
-                   Tick fast_tick, bool parity_ok);
-    void lineComplete(std::uint64_t id, Tick at, bool has_fast,
-                      bool fast_arrived, Tick fast_tick);
-
-    /** An L1 hit; @p mshr_live says the line also has an MSHR, which
-     *  L2 inclusion rules out (the hierarchy resolves L1 hits first). */
-    void l1Hit(Addr line, unsigned core, Tick at, bool mshr_live);
-
-    // ---- latency-attribution phase ledger (stateless) ----
-    void phaseLedger(const std::string &name, const dram::MemRequest &req);
-
-    // ---- fault-injection accounting (Rule::Fault) ----
-    /** A fault entered the system; it must be resolved exactly once. */
-    void faultInjected(const void *domain, std::uint64_t fault_id,
-                       Tick at);
-    /** Fault @p fault_id was served off the ECC-protected line. */
-    void faultResolved(const void *domain, std::uint64_t fault_id,
-                       Tick at);
-    void faultDomainDestroyed(const void *domain);
-
-    Checker(const Checker &) = delete;
-    Checker &operator=(const Checker &) = delete;
-
-    /** Apply HETSIM_CHECK and HETSIM_CHECK_MODE (done once before
-     *  main); a malformed value is fatal. */
-    void configureFromEnvironment();
+    void command(dram::DramCmd cmd, Tick at, const dram::DramCoord &coord,
+                 Tick data_start, Tick data_end);
+    void powerDown(unsigned rank, Tick at);
+    void wake(unsigned rank, Tick at);
 
   private:
-    Checker();
-
-    void violate(Rule rule, Tick tick, std::string where,
-                 std::string message);
-    void clearState();
-
-    // Per-bank view re-derived from the command stream alone.  kTickNever
-    // means "no such command observed yet".
+    // kTickNever means "no such command observed yet".
     struct BankState
     {
+        bool touched = false; ///< a command addressed this bank
         bool open = false;
         Tick lastAct = kTickNever;
         Tick lastCol = kTickNever;      ///< any column command (tCCD)
@@ -231,20 +184,67 @@ class Checker
         Tick wakeReady = 0;
     };
 
-    struct ChannelState
-    {
-        std::string name;
-        const dram::DeviceParams *params = nullptr;
-        std::map<std::pair<unsigned, unsigned>, BankState> banks;
-        std::map<unsigned, RankState> ranks;
-        Tick firstCmd = kTickNever; ///< cycle-grid phase reference
-        Tick lastCmd = 0;
-        Tick lastDataEnd = 0;
-        int lastDataRank = -1;
-        bool lastDataWasWrite = false;
-        bool anyData = false;
-    };
+    BankState &bank(unsigned rank, unsigned bank);
+    /** An implicit precharge of every touched bank of @p rank. */
+    void closeRank(unsigned rank, Tick at);
+    void fail(Rule rule, Tick at, unsigned rank, int bank,
+              std::string message) const;
+    void checkActivate(RankState &rs, BankState &bs, unsigned rank,
+                       unsigned bank, Tick at);
+    void checkColumnData(RankState &rs, unsigned rank, unsigned bank,
+                         bool is_write, Tick at, Tick data_start,
+                         Tick data_end);
+    void checkPrechargeRecovery(const BankState &bs, unsigned rank,
+                                unsigned bank, Tick at) const;
 
+    std::string name_;
+    dram::DeviceParams p_;
+    std::vector<RankState> ranks_;
+    std::vector<BankState> banks_; ///< rank * banksPerRank + bank
+    Tick firstCmd_ = kTickNever; ///< cycle-grid phase reference
+    Tick lastCmd_ = 0;
+    Tick lastDataEnd_ = 0;
+    int lastDataRank_ = -1;
+    bool lastDataWasWrite_ = false;
+    bool anyData_ = false;
+};
+
+/** Ids that went live and are not retired yet: an MSHR file's
+ *  allocations (`mshr_leak`) or a fault model's injected parity faults
+ *  (`fault`), each with the tick it went live. */
+class LiveIds
+{
+  public:
+    enum class Kind : std::uint8_t { Mshr, Fault };
+
+    explicit LiveIds(Kind kind) : kind_(kind) {}
+
+    /** An allocation / injection; the id must not be live. */
+    void add(std::uint64_t id, Tick at);
+    /** A release / resolution; the id must be live. */
+    void remove(std::uint64_t id, Tick at);
+    /** Every id still live is a leak; the set is empty afterwards. */
+    void drain();
+
+  private:
+    void fail(std::uint64_t id, Tick at, std::string message) const;
+
+    Kind kind_;
+    std::map<std::uint64_t, Tick> live_;
+};
+
+/** A CWF backend's pending two-fragment fills, by MSHR id. */
+class FillCheck
+{
+  public:
+    void issued(std::uint64_t id, Tick at);
+    void fragment(std::uint64_t id, bool fast, Tick at);
+    void complete(std::uint64_t id, Tick fast_tick, Tick slow_tick,
+                  Tick done_tick);
+    /** Every fill still pending is a leak; the set is empty afterwards. */
+    void drain();
+
+  private:
     struct FillState
     {
         Tick issued = 0;
@@ -252,169 +252,8 @@ class Checker
         Tick slowTick = kTickNever;
     };
 
-    ChannelState &stateFor(const void *chan, const std::string &name,
-                           const dram::DeviceParams &params);
-    void checkActivate(ChannelState &cs, RankState &rs, BankState &bs,
-                       const std::string &where,
-                       const dram::DeviceParams &p, Tick at);
-    void checkColumnData(ChannelState &cs, RankState &rs,
-                         const std::string &where,
-                         const dram::DeviceParams &p, bool is_write,
-                         Tick at, unsigned rank, Tick data_start,
-                         Tick data_end);
-    void checkPrechargeRecovery(const BankState &bs,
-                                const std::string &where,
-                                const dram::DeviceParams &p, Tick at);
-
-    /** Serialises every public entry point: checker state is process
-     *  global (keyed by component address), while the parallel sweep
-     *  engine runs Systems on several threads at once. */
-    mutable std::mutex mutex_;
-
-    Mode mode_ = Mode::Abort;
-    std::vector<Violation> violations_;
-    std::uint64_t suppressed_ = 0; ///< violations beyond the cap
-
-    std::map<const void *, ChannelState> channels_;
-    std::map<std::pair<const void *, std::uint64_t>, Tick> mshrLive_;
-    std::map<std::pair<const void *, std::uint64_t>, FillState> cwfLive_;
-    /** Injected-but-unresolved faults (leak check in finalizeAll). */
-    std::map<std::pair<const void *, std::uint64_t>, Tick> faultLive_;
+    std::map<std::uint64_t, FillState> live_;
 };
-
-// --------------------------------------------------------------------
-// Inline gated hooks: one load+branch when disabled.  Call these from
-// model code.
-// --------------------------------------------------------------------
-
-#define HETSIM_CHECK_HOOK(call)                                             \
-    do {                                                                    \
-        if (::hetsim::check::detail::g_checkEnabled) [[unlikely]] {         \
-            ::hetsim::check::Checker::instance().call;                      \
-        }                                                                   \
-    } while (0)
-
-inline void
-onDramCommand(const void *chan, const std::string &name,
-              const dram::DeviceParams &params, dram::DramCmd cmd, Tick at,
-              const dram::DramCoord &coord, Tick data_start, Tick data_end)
-{
-    HETSIM_CHECK_HOOK(
-        dramCommand(chan, name, params, cmd, at, coord, data_start,
-                    data_end));
-}
-
-inline void
-onRankPowerDown(const void *chan, const std::string &name,
-                const dram::DeviceParams &params, unsigned rank, Tick at)
-{
-    HETSIM_CHECK_HOOK(rankPowerDown(chan, name, params, rank, at));
-}
-
-inline void
-onRankWake(const void *chan, const std::string &name,
-           const dram::DeviceParams &params, unsigned rank, Tick at)
-{
-    HETSIM_CHECK_HOOK(rankWake(chan, name, params, rank, at));
-}
-
-inline void
-onChannelDestroyed(const void *chan)
-{
-    HETSIM_CHECK_HOOK(channelDestroyed(chan));
-}
-
-inline void
-onMshrAlloc(const void *domain, std::uint64_t id, Tick at)
-{
-    HETSIM_CHECK_HOOK(mshrAlloc(domain, id, at));
-}
-
-inline void
-onMshrRelease(const void *domain, std::uint64_t id, Tick at)
-{
-    HETSIM_CHECK_HOOK(mshrRelease(domain, id, at));
-}
-
-inline void
-onMshrDomainDestroyed(const void *domain)
-{
-    HETSIM_CHECK_HOOK(mshrDomainDestroyed(domain));
-}
-
-inline void
-onCwfFillIssued(const void *domain, std::uint64_t id, Tick at)
-{
-    HETSIM_CHECK_HOOK(cwfFillIssued(domain, id, at));
-}
-
-inline void
-onCwfFragment(const void *domain, std::uint64_t id, bool fast, Tick at)
-{
-    HETSIM_CHECK_HOOK(cwfFragment(domain, id, fast, at));
-}
-
-inline void
-onCwfComplete(const void *domain, std::uint64_t id, Tick fast_tick,
-              Tick slow_tick, Tick done_tick)
-{
-    HETSIM_CHECK_HOOK(
-        cwfComplete(domain, id, fast_tick, slow_tick, done_tick));
-}
-
-inline void
-onCwfDomainDestroyed(const void *domain)
-{
-    HETSIM_CHECK_HOOK(cwfDomainDestroyed(domain));
-}
-
-inline void
-onEarlyWake(std::uint64_t id, Tick at, bool fast_arrived, Tick fast_tick,
-            bool parity_ok)
-{
-    HETSIM_CHECK_HOOK(earlyWake(id, at, fast_arrived, fast_tick, parity_ok));
-}
-
-inline void
-onLineComplete(std::uint64_t id, Tick at, bool has_fast, bool fast_arrived,
-               Tick fast_tick)
-{
-    HETSIM_CHECK_HOOK(lineComplete(id, at, has_fast, fast_arrived,
-                                   fast_tick));
-}
-
-/** @p mshr_live is a callable, evaluated only while checking is on, so
- *  the L1-hit path pays one branch for the MSHR probe it skips. */
-template <typename MshrLive>
-inline void
-onL1Hit(Addr line, unsigned core, Tick at, MshrLive &&mshr_live)
-{
-    HETSIM_CHECK_HOOK(l1Hit(line, core, at, mshr_live()));
-}
-
-inline void
-onPhaseLedger(const std::string &name, const dram::MemRequest &req)
-{
-    HETSIM_CHECK_HOOK(phaseLedger(name, req));
-}
-
-inline void
-onFaultInjected(const void *domain, std::uint64_t fault_id, Tick at)
-{
-    HETSIM_CHECK_HOOK(faultInjected(domain, fault_id, at));
-}
-
-inline void
-onFaultResolved(const void *domain, std::uint64_t fault_id, Tick at)
-{
-    HETSIM_CHECK_HOOK(faultResolved(domain, fault_id, at));
-}
-
-inline void
-onFaultDomainDestroyed(const void *domain)
-{
-    HETSIM_CHECK_HOOK(faultDomainDestroyed(domain));
-}
 
 } // namespace hetsim::check
 

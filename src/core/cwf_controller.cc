@@ -47,12 +47,11 @@ CwfHeteroMemory::CwfHeteroMemory(const Params &params,
         chan->setChipsPerRank(params_.slowChipsPerRank);
         slow_.push_back(std::move(chan));
     }
+    if (check::armed())
+        check_ = std::make_unique<check::FillCheck>();
 }
 
-CwfHeteroMemory::~CwfHeteroMemory()
-{
-    check::onCwfDomainDestroyed(this);
-}
+CwfHeteroMemory::~CwfHeteroMemory() = default;
 
 void
 CwfHeteroMemory::setCallbacks(Callbacks callbacks)
@@ -108,7 +107,8 @@ CwfHeteroMemory::requestFill(const FillRequest &request, Tick now)
         request.isPrefetch ? AccessType::Prefetch : AccessType::Read;
 
     pending_.emplace(request.mshrId, PendingFill{});
-    check::onCwfFillIssued(this, request.mshrId, now);
+    if (check_) [[unlikely]]
+        check_->issued(request.mshrId, now);
 
     dram::MemRequest slow_req;
     slow_req.id = nextReqId_++;
@@ -174,7 +174,8 @@ CwfHeteroMemory::onSlowResponse(dram::MemRequest &req)
     sim_assert(it != pending_.end(), "slow response without pending fill");
     PendingFill &p = it->second;
     sim_assert(!p.slowDone, "duplicate slow fragment");
-    check::onCwfFragment(this, req.cookie, /*fast=*/false, req.complete);
+    if (check_) [[unlikely]]
+        check_->fragment(req.cookie, /*fast=*/false, req.complete);
     p.slowDone = true;
     p.slowTick = req.complete;
     slowLatency_.sample(static_cast<double>(req.totalLatency()));
@@ -195,7 +196,8 @@ CwfHeteroMemory::onFastResponse(dram::MemRequest &req)
     sim_assert(it != pending_.end(), "fast response without pending fill");
     PendingFill &p = it->second;
     sim_assert(!p.fastDone, "duplicate fast fragment");
-    check::onCwfFragment(this, req.cookie, /*fast=*/true, req.complete);
+    if (check_) [[unlikely]]
+        check_->fragment(req.cookie, /*fast=*/true, req.complete);
     p.fastDone = true;
     p.fastTick = req.complete;
     fastLatency_.sample(static_cast<double>(req.totalLatency()));
@@ -231,11 +233,19 @@ CwfHeteroMemory::maybeComplete(std::uint64_t mshr_id, PendingFill &pending)
     // SECDED-protected slow fragment.
     if (pending.fastFault != 0)
         faultModel_.resolve(pending.fastFault, done);
-    check::onCwfComplete(this, mshr_id, pending.fastTick, pending.slowTick,
-                         done);
+    if (check_) [[unlikely]]
+        check_->complete(mshr_id, pending.fastTick, pending.slowTick, done);
     pending_.erase(mshr_id);
     if (cb_.lineCompleted)
         cb_.lineCompleted(mshr_id, done);
+}
+
+void
+CwfHeteroMemory::checkDrained()
+{
+    if (check_)
+        check_->drain();
+    faultModel_.checkDrained();
 }
 
 void

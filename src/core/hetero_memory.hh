@@ -37,6 +37,11 @@
 #include "dram/channel.hh"
 #include "fault/fault_model.hh"
 
+namespace hetsim::check
+{
+class FillCheck;
+} // namespace hetsim::check
+
 namespace hetsim::cwf
 {
 
@@ -184,6 +189,11 @@ class CwfHeteroMemory : public MemoryBackend
     const Average &slowFragmentLatency() const { return slowLatency_; }
     const Counter &parityErrorsInjected() const { return parityErrors_; }
 
+    /** Protocol validator: every fill still pending and every parity
+     *  fault still unresolved is a leak (call once idle(); no-op unless
+     *  built armed). */
+    void checkDrained();
+
   private:
     struct PendingFill
     {
@@ -221,6 +231,8 @@ class CwfHeteroMemory : public MemoryBackend
     /** Fast-word lead consumed waiting for the bulk fragment
      *  (max(0, slowTick - fastTick)); DESIGN.md section 12. */
     Histogram bulkWaitHist_{4.0, 512};
+    /** Pending fills; null unless built while check::armed(). */
+    std::unique_ptr<check::FillCheck> check_;
 };
 
 } // namespace hetsim::cwf

@@ -54,14 +54,11 @@ Channel::Channel(std::string name, const DeviceParams &params,
     readQ_.reserve(policy_.readQueueCap);
     writeQ_.reserve(policy_.writeQueueCap);
     audit_.reserve(256);
+    if (check::armed())
+        check_ = std::make_unique<check::ChannelCheck>(name_, params_, ranks);
 }
 
-Channel::~Channel()
-{
-    // Drop validator state keyed by this object so a later allocation at
-    // the same address cannot inherit stale timing history.
-    check::onChannelDestroyed(this);
-}
+Channel::~Channel() = default;
 
 bool
 Channel::canAccept(AccessType type) const
@@ -219,7 +216,8 @@ Channel::completeReads(Tick now)
         } else {
             stats_.prefetchReads.inc();
         }
-        check::onPhaseLedger(name_, *done);
+        if (check_) [[unlikely]]
+            check::phaseLedger(name_, *done);
         emitPhaseSpans(*done);
         if (callback_)
             callback_(*done);
@@ -309,7 +307,8 @@ Channel::managePowerDown(Tick now)
         if (!settled)
             continue;
         rank.enterPowerDown(now);
-        check::onRankPowerDown(this, name_, params_, r, now);
+        if (check_) [[unlikely]]
+            check_->powerDown(r, now);
         stats_.powerDownEntries.inc();
     }
 }
@@ -338,7 +337,8 @@ void
 Channel::wakeRank(unsigned rank, Tick now)
 {
     ranks_[rank].exitPowerDown(now);
-    check::onRankWake(this, name_, params_, rank, now);
+    if (check_) [[unlikely]]
+        check_->wake(rank, now);
 }
 
 void
@@ -390,8 +390,8 @@ Channel::recordAudit(DramCmd cmd, Tick at, const DramCoord &coord,
 {
     // Every command issue funnels through here; the protocol validator
     // observes the stream regardless of the audit-buffer setting.
-    check::onDramCommand(this, name_, params_, cmd, at, coord, data_start,
-                         data_end);
+    if (check_) [[unlikely]]
+        check_->command(cmd, at, coord, data_start, data_end);
     if (!auditEnabled_)
         return;
     audit_.push_back(AuditEvent{cmd, at, coord.rank, coord.bank, coord.row,

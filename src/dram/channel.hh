@@ -28,6 +28,11 @@
 #include "dram/rank.hh"
 #include "dram/request.hh"
 
+namespace hetsim::check
+{
+class ChannelCheck;
+} // namespace hetsim::check
+
 namespace hetsim::dram
 {
 
@@ -297,6 +302,8 @@ class Channel
 
     // Observability-only state, kept last (see ChannelStats note).
     std::vector<Tick> lastColumnPerBank_; ///< turnaround tracking
+    /** Protocol validator state; null unless built while check::armed(). */
+    std::unique_ptr<check::ChannelCheck> check_;
 };
 
 } // namespace hetsim::dram

@@ -33,12 +33,11 @@ mix64(std::uint64_t x)
 FaultModel::FaultModel(const FaultParams &params, std::uint64_t seed)
     : params_(params), seed_(mix64(seed))
 {
+    if (check::armed())
+        check_ = std::make_unique<check::LiveIds>(check::LiveIds::Kind::Fault);
 }
 
-FaultModel::~FaultModel()
-{
-    check::onFaultDomainDestroyed(this);
-}
+FaultModel::~FaultModel() = default;
 
 std::uint64_t
 FaultModel::hash64(std::uint64_t tag, std::uint64_t a,
@@ -70,7 +69,8 @@ FaultModel::onCriticalRead(Addr line_addr, Tick at)
     const std::uint64_t corrupted = payload ^ (1ULL << (flip & 63));
     sim_assert(!ecc::ByteParity::check(corrupted,
                                        ecc::ByteParity::encode(payload)));
-    check::onFaultInjected(this, fault_id, at);
+    if (check_) [[unlikely]]
+        check_->add(fault_id, at);
     return fault_id;
 }
 
@@ -78,7 +78,15 @@ void
 FaultModel::resolve(std::uint64_t fault_id, Tick at)
 {
     sim_assert(fault_id != 0);
-    check::onFaultResolved(this, fault_id, at);
+    if (check_) [[unlikely]]
+        check_->remove(fault_id, at);
+}
+
+void
+FaultModel::checkDrained()
+{
+    if (check_)
+        check_->drain();
 }
 
 } // namespace hetsim::fault

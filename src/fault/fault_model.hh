@@ -24,9 +24,15 @@
 #define HETSIM_FAULT_FAULT_MODEL_HH
 
 #include <cstdint>
+#include <memory>
 #include <unordered_map>
 
 #include "common/types.hh"
+
+namespace hetsim::check
+{
+class LiveIds;
+} // namespace hetsim::check
 
 namespace hetsim::fault
 {
@@ -63,6 +69,10 @@ class FaultModel
      *  the line at @p at. */
     void resolve(std::uint64_t fault_id, Tick at);
 
+    /** Protocol validator: every fault still unresolved is a leak
+     *  (call once the backend has drained; no-op unless built armed). */
+    void checkDrained();
+
   private:
     std::uint64_t hash64(std::uint64_t tag, std::uint64_t a,
                          std::uint64_t b) const;
@@ -73,6 +83,9 @@ class FaultModel
     /** Per-line read counters (the draw's sequence numbers); only
      *  populated when enabled(). */
     std::unordered_map<std::uint64_t, std::uint64_t> accessSeq_;
+    /** Injected, unresolved faults; null unless built while
+     *  check::armed(). */
+    std::unique_ptr<check::LiveIds> check_;
 };
 
 } // namespace hetsim::fault

@@ -11,6 +11,7 @@
 #include "common/env.hh"
 #include "common/log.hh"
 #include "common/thread_pool.hh"
+#include "common/trace.hh"
 #include "sim/report.hh"
 #include "workloads/suite.hh"
 
@@ -143,6 +144,10 @@ ExperimentRunner::ExperimentRunner(unsigned jobs)
     : scale_(ExperimentScale::fromEnv()),
       jobs_(jobs ? jobs : ThreadPool::jobsFromEnv())
 {
+    // A trace is one ordered stream, recorded without a lock: a traced
+    // sweep runs its simulations one at a time.
+    if (trace::Tracer::instance().enabled())
+        jobs_ = 1;
     if (const char *env = std::getenv("HETSIM_WORKLOADS")) {
         std::stringstream ss(env);
         std::string tok;

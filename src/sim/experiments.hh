@@ -9,10 +9,13 @@
  * Independent runs can execute concurrently on a thread pool
  * (HETSIM_JOBS workers): callers enumerate the sweep up front with
  * prefetch() / prefetchThroughput(), then the usual accessors are cache
- * hits.  Every run's mutable state (RNG, stats, checker interactions)
- * is confined to its own System, and results are committed to the memo
- * cache — and JSON exports written — strictly in submission order, so a
- * parallel sweep is bit-identical to a serial one.
+ * hits.  Every run's mutable state (RNG, stats, protocol-check state)
+ * is confined to its own System; armed runs share only the violation
+ * log, locked when a violation is recorded.  Results are committed to
+ * the memo cache — and JSON exports written — strictly in submission
+ * order, so a parallel sweep is bit-identical to a serial one.  The
+ * lifecycle tracer is process-wide, so a runner built while it records
+ * takes one worker.
  */
 
 #ifndef HETSIM_SIM_EXPERIMENTS_HH
@@ -89,6 +92,7 @@ class ExperimentRunner
     /**
      * @param jobs worker threads for prefetch(); 0 reads HETSIM_JOBS
      *        from the environment (default: hardware concurrency).
+     *        Forced to 1 while the lifecycle tracer is enabled.
      */
     explicit ExperimentRunner(unsigned jobs = 0);
 

@@ -29,7 +29,6 @@
 
 using namespace hetsim;
 using namespace hetsim::sim;
-using check::Checker;
 using check::Mode;
 
 namespace
@@ -103,16 +102,16 @@ drainRawChannel()
 
 TEST(PhaseLedger, PartitionsLatencyOnRawChannelBothSchedulers)
 {
-    auto &checker = Checker::instance();
-    checker.enable(Mode::Collect);
+    check::arm(Mode::Collect);
     const unsigned completed = drainRawChannel();
-    EXPECT_TRUE(checker.violations().empty()) << checker.report();
-    checker.disable();
+    EXPECT_TRUE(check::violations().empty()) << check::report();
+    check::disarm();
     EXPECT_GT(completed, 100u);
 }
 
 TEST(PhaseLedger, WriteForwardedReadDegeneratesToBusPhase)
 {
+    check::arm(Mode::Collect); // before the channel: it checks iff armed
     const dram::DeviceParams dev = dram::DeviceParams::ddr3_1600();
     dram::Channel chan("attrib_fw", dev, 2);
 
@@ -128,8 +127,6 @@ TEST(PhaseLedger, WriteForwardedReadDegeneratesToBusPhase)
         EXPECT_GT(req.totalLatency(), 0u);
     });
 
-    auto &checker = Checker::instance();
-    checker.enable(Mode::Collect);
     dram::MemRequest wr;
     wr.id = 3;
     wr.cookie = 3;
@@ -150,15 +147,14 @@ TEST(PhaseLedger, WriteForwardedReadDegeneratesToBusPhase)
         chan.tick(t);
         t += dev.clockDivider;
     }
-    EXPECT_TRUE(checker.violations().empty()) << checker.report();
-    checker.disable();
+    EXPECT_TRUE(check::violations().empty()) << check::report();
+    check::disarm();
     EXPECT_TRUE(saw_forward);
 }
 
 TEST(PhaseLedger, CheckerFlagsCorruptLedger)
 {
-    auto &checker = Checker::instance();
-    checker.enable(Mode::Collect);
+    check::arm(Mode::Collect);
 
     // Non-monotone stamps.
     dram::MemRequest bad;
@@ -168,8 +164,8 @@ TEST(PhaseLedger, CheckerFlagsCorruptLedger)
     bad.columnIssue = 120;
     bad.dataStart = 130;
     bad.complete = 140;
-    check::onPhaseLedger("neg", bad);
-    EXPECT_EQ(checker.count(check::Rule::PhaseLedger), 1u);
+    check::phaseLedger("neg", bad);
+    EXPECT_EQ(check::count(check::Rule::PhaseLedger), 1u);
 
     // Completed request with no column/data stamps: phase sum is zero
     // while the end-to-end latency is not.
@@ -177,9 +173,9 @@ TEST(PhaseLedger, CheckerFlagsCorruptLedger)
     hole.id = 2;
     hole.enqueue = 100;
     hole.complete = 200;
-    check::onPhaseLedger("neg", hole);
-    EXPECT_EQ(checker.count(check::Rule::PhaseLedger), 2u);
-    checker.disable();
+    check::phaseLedger("neg", hole);
+    EXPECT_EQ(check::count(check::Rule::PhaseLedger), 2u);
+    check::disarm();
 }
 
 // ---------------- CPI stacks on a whole system -----------------------
@@ -221,16 +217,15 @@ runCpiSystem(bool profiled)
 
 TEST(CpiStack, BucketsTileTheWindowAcrossEnginesModesAndSchedulers)
 {
-    auto &checker = Checker::instance();
-    checker.enable(Mode::Collect);
+    check::arm(Mode::Collect);
 
     // Main-loop mode (plain or self-profiled tick): the CPI attribution
     // (like the reports) must not see it.
     std::vector<CpiRun> runs;
     for (const bool profiled : {false, true})
         runs.push_back(runCpiSystem(profiled));
-    EXPECT_TRUE(checker.violations().empty()) << checker.report();
-    checker.disable();
+    EXPECT_TRUE(check::violations().empty()) << check::report();
+    check::disarm();
 
     for (const CpiRun &run : runs) {
         ASSERT_GT(run.windowTicks, 0u);

@@ -198,8 +198,7 @@ TEST_P(ChannelProperties, ProtocolCheckerFindsSchedulerClean)
     const auto sp = GetParam();
     const DeviceParams dev = device(sp.kind);
 
-    auto &checker = check::Checker::instance();
-    checker.enable(check::Mode::Collect);
+    check::arm(check::Mode::Collect);
 
     {
         Channel chan("propchk", dev, sp.ranks);
@@ -233,9 +232,8 @@ TEST_P(ChannelProperties, ProtocolCheckerFindsSchedulerClean)
         ASSERT_LT(t, horizon) << "channel failed to drain";
     }
 
-    checker.finalizeAll();
-    EXPECT_TRUE(checker.violations().empty()) << checker.report();
-    checker.disable();
+    EXPECT_TRUE(check::violations().empty()) << check::report();
+    check::disarm();
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -269,7 +269,7 @@ TEST(EnvDeathTest, CheckAndTraceGatesAreStrict)
     EXPECT_EXIT(
         {
             setenv("HETSIM_CHECK", "no", 1);
-            check::Checker::instance().configureFromEnvironment();
+            check::configureFromEnvironment();
         },
         ::testing::ExitedWithCode(1), "HETSIM_CHECK: expected .*, got 'no'");
     EXPECT_EXIT(
@@ -309,7 +309,7 @@ TEST(EnvDeathTest, CheckModeIsAbortOrCollect)
         {
             setenv("HETSIM_CHECK", "1", 1);
             setenv("HETSIM_CHECK_MODE", "Collect", 1);
-            check::Checker::instance().configureFromEnvironment();
+            check::configureFromEnvironment();
         },
         ::testing::ExitedWithCode(1),
         "HETSIM_CHECK_MODE: expected abort\\|collect, got 'Collect'");

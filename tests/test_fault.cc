@@ -40,7 +40,6 @@ using namespace hetsim;
 using namespace hetsim::cwf;
 using namespace hetsim::sim;
 using dram::DeviceParams;
-using check::Checker;
 using check::Mode;
 
 namespace
@@ -193,8 +192,8 @@ TEST(FaultParams, EnvironmentDoesNotReachTheRun)
 class ParityFault : public ::testing::Test
 {
   protected:
-    void SetUp() override { Checker::instance().enable(Mode::Collect); }
-    void TearDown() override { Checker::instance().disable(); }
+    void SetUp() override { check::arm(Mode::Collect); }
+    void TearDown() override { check::disarm(); }
 };
 
 TEST_F(ParityFault, EachFailIsResolvedOnceWhenTheLineCompletes)
@@ -238,9 +237,9 @@ TEST_F(ParityFault, EachFailIsResolvedOnceWhenTheLineCompletes)
     EXPECT_LT(failed, kFills);
     EXPECT_EQ(mem.parityErrorsInjected().value(), failed);
 
-    Checker::instance().finalizeAll();
-    EXPECT_TRUE(Checker::instance().violations().empty())
-        << Checker::instance().report();
+    mem.checkDrained();
+    EXPECT_TRUE(check::violations().empty())
+        << check::report();
 }
 
 // --------------------------------------------- system-level goldens

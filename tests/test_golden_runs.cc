@@ -24,6 +24,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -76,40 +77,58 @@ allSpecs()
     return all;
 }
 
+/** FNV-1a of a spec key. */
+std::uint64_t
+keyHash(const std::string &key)
+{
+    std::uint64_t hash = 1469598103934665603ULL;
+    for (const char c : key) {
+        hash ^= static_cast<unsigned char>(c);
+        hash *= 1099511628211ULL;
+    }
+    return hash;
+}
+
 /**
- * Test parameter naming one golden spec by its index in allSpecs().
- * gtest prints a parameter's raw bytes into each ctest name, so the
- * layout has no implicit padding and every byte is set: the names come
- * out the same in every build.
+ * Test parameter naming one golden spec by its key.  gtest prints a
+ * parameter's raw bytes into each ctest name, so the layout has no
+ * implicit padding, every byte is set, and the bytes depend on the spec
+ * alone: the names come out the same in every build, and adding or
+ * deleting a spec renames no other case.
  */
 struct GoldenCase
 {
     MemConfig config; ///< leads, so the printed bytes start with it
     std::uint8_t zero[7] = {};
-    std::uint64_t index = 0;
+    std::uint64_t keyHash = 0; ///< keyHash(spec.key)
 };
 static_assert(sizeof(GoldenCase) == 16, "GoldenCase must have no padding");
 
 std::vector<GoldenCase>
 casesOf(bool matrix)
 {
-    const std::size_t first = matrix ? goldenSpecs().size() : 0;
-    const std::size_t end =
-        matrix ? allSpecs().size() : goldenSpecs().size();
+    const auto &specs = matrix ? goldenMatrixSpecs() : goldenSpecs();
     std::vector<GoldenCase> out;
-    for (std::size_t i = first; i < end; ++i)
-        out.push_back(GoldenCase{allSpecs()[i].config, {}, i});
+    for (const GoldenSpec &spec : specs)
+        out.push_back(GoldenCase{spec.config, {}, keyHash(spec.key)});
     return out;
+}
+
+/** The spec a case names. */
+const GoldenSpec &
+specOf(const GoldenCase &c)
+{
+    for (const GoldenSpec &spec : allSpecs()) {
+        if (keyHash(spec.key) == c.keyHash)
+            return spec;
+    }
+    throw std::logic_error("no golden spec for a case");
 }
 
 class GoldenRun : public ::testing::TestWithParam<GoldenCase>
 {
   protected:
-    static const GoldenSpec &
-    current()
-    {
-        return allSpecs()[GetParam().index];
-    }
+    static const GoldenSpec &current() { return specOf(GetParam()); }
 };
 
 /** Compare @p digest byte for byte with the checked-in baseline of
@@ -212,7 +231,7 @@ TEST_P(GoldenRun, BatchedAndPerTickCoresAreBitIdentical)
 std::string
 caseName(const ::testing::TestParamInfo<GoldenCase> &info)
 {
-    return allSpecs()[info.param.index].key;
+    return specOf(info.param).key;
 }
 
 INSTANTIATE_TEST_SUITE_P(PaperConfigs, GoldenRun,

@@ -32,7 +32,6 @@
 
 using namespace hetsim;
 using namespace hetsim::sim;
-using check::Checker;
 using check::Mode;
 using check::Rule;
 
@@ -77,8 +76,7 @@ TEST_P(WakeContract, NoComponentSleepsPastItsOwnNextEventTick)
     const SystemParams p = paramsFor(GetParam(), 0x5EED5ULL);
     const auto &profile = workloads::suite::byName("mcf");
 
-    auto &checker = Checker::instance();
-    checker.enable(Mode::Collect);
+    check::arm(Mode::Collect);
     {
         System system(p, profile, p.cores);
         system.setProfiling(true);
@@ -114,8 +112,8 @@ TEST_P(WakeContract, NoComponentSleepsPastItsOwnNextEventTick)
                 << "core " << c;
         }
     }
-    EXPECT_TRUE(checker.violations().empty()) << checker.report();
-    checker.disable();
+    EXPECT_TRUE(check::violations().empty()) << check::report();
+    check::disarm();
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -161,10 +159,9 @@ TEST_P(FastForwardProperty, SkipAheadIsBitIdenticalToPerTickStepping)
     const SystemParams p = paramsFor(mem, seed);
     const auto &profile = workloads::suite::byName(bench);
     const RunConfig rc = runConfig();
-    auto &checker = Checker::instance();
 
     auto runOnce = [&](bool hand_warmup) {
-        checker.enable(Mode::Collect);
+        check::arm(Mode::Collect);
         System system(p, profile, p.cores);
         RunConfig measure = rc;
         if (hand_warmup) {
@@ -176,9 +173,9 @@ TEST_P(FastForwardProperty, SkipAheadIsBitIdenticalToPerTickStepping)
         }
         const RunResult r = runSimulation(system, measure);
         EXPECT_GT(r.demandReads, 0u);
-        EXPECT_TRUE(checker.violations().empty()) << checker.report();
+        EXPECT_TRUE(check::violations().empty()) << check::report();
         LoopRun out{system.now(), 0, renderReportJson(system, r)};
-        checker.disable();
+        check::disarm();
         return out;
     };
 
@@ -202,18 +199,17 @@ TEST_P(FastForwardProperty, EventEngineIsBitIdenticalToTickEngine)
     const SystemParams p = paramsFor(mem, seed);
     const auto &profile = workloads::suite::byName(bench);
     const RunConfig rc = runConfig();
-    auto &checker = Checker::instance();
 
     auto runOnce = [&](bool profiled) {
-        checker.enable(Mode::Collect);
+        check::arm(Mode::Collect);
         System system(p, profile, p.cores);
         system.setProfiling(profiled);
         const RunResult r = runSimulation(system, rc);
         EXPECT_GT(r.demandReads, 0u);
-        EXPECT_TRUE(checker.violations().empty()) << checker.report();
+        EXPECT_TRUE(check::violations().empty()) << check::report();
         LoopRun out{system.now(), system.selfProfile().ticks,
                     renderReportJson(system, r)};
-        checker.disable();
+        check::disarm();
         return out;
     };
 
@@ -259,8 +255,7 @@ TEST(EventQueueNegative, MissedRefreshDeadlineIsCaught)
     // The late refresh the channel then issues must trip the
     // validator's refresh-spacing rule.
     const dram::DeviceParams dev = dram::DeviceParams::ddr3_1600();
-    auto &checker = Checker::instance();
-    checker.enable(Mode::Collect);
+    check::arm(Mode::Collect);
     {
         dram::Channel chan("refmiss", dev, 1);
         chan.setCallback([](dram::MemRequest &) {});
@@ -275,9 +270,9 @@ TEST(EventQueueNegative, MissedRefreshDeadlineIsCaught)
         for (Tick end = t + 4 * dev.ticks(dev.tREFI); t < end; ++t)
             chan.tick(t);
     }
-    EXPECT_GE(checker.count(Rule::RefreshSpacing), 1u)
-        << checker.report();
-    checker.disable();
+    EXPECT_GE(check::count(Rule::RefreshSpacing), 1u)
+        << check::report();
+    check::disarm();
 }
 
 } // namespace

@@ -6,7 +6,8 @@
  * bit-identical to a one-worker (serial-equivalent) runner.  Results
  * are committed in submission order and every run's mutable state is
  * confined to its own System, so worker interleaving must not be
- * observable.
+ * observable.  Two armed Systems on two threads each drain clean, and a
+ * runner built while the lifecycle tracer records takes one worker.
  */
 
 #include <gtest/gtest.h>
@@ -18,10 +19,16 @@
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <thread>
 #include <vector>
 
+#include "check/checker.hh"
+#include "common/trace.hh"
+#include "core/hetero_memory.hh"
 #include "sim/experiments.hh"
 #include "sim/golden.hh"
+#include "sim/system.hh"
+#include "workloads/suite.hh"
 
 using namespace hetsim;
 using namespace hetsim::sim;
@@ -313,6 +320,60 @@ TEST(SanitizedKeys, CollidingKeysGetDistinctFilenames)
                         ch == '_';
         EXPECT_TRUE(ok) << "illegal filename byte: " << ch;
     }
+}
+
+TEST(TracedSweep, RunnerTakesOneWorkerWhileTracing)
+{
+    // The lifecycle trace is one ordered stream: a runner built while
+    // the tracer records runs its sweep on one worker.
+    auto &tracer = trace::Tracer::instance();
+    tracer.enableInMemory(1024);
+    EXPECT_EQ(ExperimentRunner(4).jobs(), 1u);
+    tracer.disable();
+    EXPECT_EQ(ExperimentRunner(4).jobs(), 4u);
+}
+
+/** Run a CwfRL/mcf System built now, then stop its cores and tick the
+ *  memory side until every fill has completed. */
+void
+runAndDrain(bool drain)
+{
+    SystemParams p = ExperimentRunner::paramsFor(MemConfig::CwfRL);
+    p.seed = kGoldenSeed;
+    System system(p, workloads::suite::byName("mcf"), p.cores);
+    RunConfig rc;
+    rc.measureReads = 600;
+    rc.warmupReads = 200;
+    EXPECT_GT(runSimulation(system, rc).demandReads, 0u);
+    auto &hier = system.hierarchy();
+    auto &backend = system.backend();
+    for (Tick t = system.now(); drain && (hier.mshrs().inUse() != 0 ||
+                                          !backend.idle());
+         ++t) {
+        ASSERT_LT(t, system.now() + 10'000'000) << "fills failed to drain";
+        hier.tick(t);
+        backend.tick(t);
+    }
+    hier.checkDrained();
+    dynamic_cast<cwf::CwfHeteroMemory &>(backend).checkDrained();
+}
+
+TEST(PerRunChecks, TwoArmedSystemsOnTwoThreadsDrainClean)
+{
+    // Each component owns its protocol-check state, so two armed runs
+    // on two threads share nothing but the violation log.
+    check::arm(check::Mode::Collect);
+    std::thread a(runAndDrain, true);
+    std::thread b(runAndDrain, true);
+    a.join();
+    b.join();
+    EXPECT_TRUE(check::violations().empty()) << check::report();
+
+    // The drain check is live: the same run stopped mid-flight leaves
+    // fills in its MSHRs and its backend.
+    runAndDrain(false);
+    EXPECT_GT(check::count(check::Rule::MshrLeak), 0u) << check::report();
+    check::disarm();
 }
 
 } // namespace

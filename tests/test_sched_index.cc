@@ -28,7 +28,6 @@
 #include "dram/channel.hh"
 
 using namespace hetsim;
-using check::Checker;
 using check::Mode;
 using dram::AddrBusArbiter;
 using dram::Channel;
@@ -247,12 +246,10 @@ TEST_P(SchedDifferential, IndexedMatchesLinearCommandForCommand)
     const auto plan =
         makePlan(dev, ranks, shared_bus ? 2 : 1, seed, 1500);
 
-    auto &checker = Checker::instance();
-    checker.enable(Mode::Collect);
+    check::arm(Mode::Collect);
     const RunOutcome out = runPlan(dev, ranks, shared_bus, plan);
-    checker.finalizeAll();
-    EXPECT_TRUE(checker.violations().empty()) << checker.report();
-    checker.disable();
+    EXPECT_TRUE(check::violations().empty()) << check::report();
+    check::disarm();
 
     // Meaningful run: commands actually issued and some were audited.
     EXPECT_GT(out.events.size(), 1000u);
