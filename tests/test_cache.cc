@@ -8,6 +8,7 @@
 
 #include "cache/cache.hh"
 #include "common/log.hh"
+#include "common/rng.hh"
 
 using namespace hetsim;
 using cache::Cache;
@@ -179,6 +180,99 @@ TEST(Cache, WorkingSetLargerThanCacheThrashes)
             c.fill(a, false);
     }
     EXPECT_EQ(c.misses().value() - misses_before, 32u);
+}
+
+/** FNV-1a over 64-bit words. */
+struct Fnv
+{
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+
+    void
+    mix(std::uint64_t v)
+    {
+        for (int b = 0; b < 8; ++b) {
+            h ^= (v >> (8 * b)) & 0xff;
+            h *= 0x100000001b3ULL;
+        }
+    }
+
+    /** Every set's lines in LRU order with their dirty bits. */
+    void
+    mixState(const Cache &c)
+    {
+        for (unsigned set = 0; set < c.sets(); ++set) {
+            const auto lines = c.setContents(set);
+            mix(lines.size());
+            for (const Cache::Resident &r : lines)
+                mix(r.lineAddr | unsigned{r.dirty});
+        }
+    }
+};
+
+/**
+ * Digest of @p ops seeded hit / fill / invalidate operations on a cache
+ * of @p size_bytes and @p ways: every hit outcome, every Eviction and
+ * every invalidation result, plus the whole tag / LRU / dirty state
+ * every 100k operations and at the end.  Half the draws come from a
+ * window of half the cache's lines (mostly hits), half from a window
+ * of four times its lines (misses and evictions); invalidations free
+ * ways that later fills reuse.
+ */
+std::uint64_t
+cacheStateDigest(std::uint64_t size_bytes, unsigned ways,
+                 std::uint64_t ops)
+{
+    Cache c(Cache::Params{"digest", size_bytes, ways});
+    const std::uint64_t lines = size_bytes / kLineBytes;
+    Rng rng(2024 + ways);
+    Fnv f;
+    for (std::uint64_t i = 0; i < ops; ++i) {
+        const std::uint64_t r = rng.next();
+        const std::uint64_t window = (r & 1) ? lines / 2 : lines * 4;
+        // High tag bits too: some lines sit above 2^40.
+        const Addr high = (r & 2) ? (Addr{0x5a} << 40) : 0;
+        const Addr a = high | (rng.below(window) << kLineShift);
+        const unsigned kind = static_cast<unsigned>((r >> 8) % 100);
+        const bool dirty = (r >> 16) & 1;
+        if (kind < 55) {
+            const bool hit = c.access(a, dirty);
+            f.mix(hit);
+            if (!hit) {
+                const Cache::Eviction ev = c.fill(a, (r >> 17) & 1);
+                f.mix(ev.valid | unsigned{ev.dirty} << 1);
+                f.mix(ev.lineAddr);
+            }
+        } else if (kind < 70) {
+            f.mix(c.probe(a));
+        } else if (kind < 82) {
+            bool present = false;
+            const bool was_dirty = c.invalidate(a, &present);
+            f.mix(unsigned{was_dirty} | unsigned{present} << 1);
+        } else if (c.probe(a)) {
+            f.mix(c.hit(a, dirty));
+        } else {
+            const Cache::Eviction ev = c.fill(a, dirty);
+            f.mix(ev.valid | unsigned{ev.dirty} << 1);
+            f.mix(ev.lineAddr);
+        }
+        if (i % 100000 == 99999)
+            f.mixState(c);
+    }
+    f.mixState(c);
+    f.mix(c.hits().value());
+    f.mix(c.misses().value());
+    return f.h;
+}
+
+TEST(Cache, StateDigestsArePinned)
+{
+    // Table 1's L1 (32 KB / 2-way) and L2 (4 MB / 8-way).  Any change to
+    // hit/miss outcomes, victim choice, LRU order or dirty tracking
+    // moves these digests.
+    EXPECT_EQ(cacheStateDigest(32 * 1024, 2, 1000000),
+              0x225728fd3fe912faULL);
+    EXPECT_EQ(cacheStateDigest(4 * 1024 * 1024, 8, 1000000),
+              0xda1e7680d18d5369ULL);
 }
 
 } // namespace

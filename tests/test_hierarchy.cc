@@ -8,10 +8,12 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <deque>
 
 #include "cache/hierarchy.hh"
 #include "common/log.hh"
+#include "common/rng.hh"
 #include "core/line_layout.hh"
 
 using namespace hetsim;
@@ -186,6 +188,75 @@ TEST_F(HierarchyTest, LookupCountersForL1HitL2HitAndJoin)
     EXPECT_EQ(hier->stats().mshrJoins.value(), 1u);
     EXPECT_EQ(hier->stats().loads.value(), 4u);
     EXPECT_EQ(hier->stats().demandMisses.value(), 1u);
+}
+
+TEST_F(HierarchyTest, LookupDigestIsPinned)
+{
+    // 1M seeded loads and stores from four cores, with the prefetcher
+    // on and two-part fills delivered 40 ticks after their request.
+    // Per core, half the accesses hit an 8 KB hot window (L1 hits), a
+    // quarter a 2 MB warm window (L2 hits) and a quarter a 256 MB cold
+    // one (misses, dirty L2 evictions and writebacks).  Any change to
+    // which level serves an access, the lookup-latency histogram or the
+    // writeback order moves the digest.
+    Hierarchy::Params hp;
+    hp.cores = 4;
+    backend.fragmented = true;
+    backend.plannedWord = 0;
+    Hierarchy h(hp, backend);
+    h.setWakeFn([](std::uint8_t, std::uint16_t, Tick) {});
+    Rng rng(777);
+    Tick now = 0;
+    std::uint64_t outcomes = 0xcbf29ce484222325ULL;
+    const auto mix = [](std::uint64_t &d, std::uint64_t v) {
+        for (int b = 0; b < 8; ++b) {
+            d ^= (v >> (8 * b)) & 0xff;
+            d *= 0x100000001b3ULL;
+        }
+    };
+    for (std::uint64_t i = 0; i < 1000000; ++i) {
+        now += 1;
+        while (!backend.fills.empty() &&
+               backend.fills.front().at + 40 <= now) {
+            backend.deliverCritical(now);
+            backend.deliverLine(now);
+        }
+        h.tick(now);
+        const std::uint64_t r = rng.next();
+        const auto core = static_cast<std::uint8_t>(r & 3);
+        const unsigned band = (r >> 2) & 3;
+        const std::uint64_t window = band < 2    ? (8 << 10)
+                                     : band == 2 ? (2 << 20)
+                                                 : (256 << 20);
+        const Addr addr = (Addr{core} << 32) +
+                          (Addr{band < 2 ? 0 : band} << 28) +
+                          (rng.below(window) & ~Addr{kWordBytes - 1});
+        const Hierarchy::AccessResult res =
+            ((r >> 4) % 10) < 3
+                ? h.store(core, addr, now)
+                : h.load(core, static_cast<std::uint16_t>(i & 63), addr,
+                         now);
+        mix(outcomes, static_cast<unsigned>(res.outcome) |
+                          static_cast<unsigned>(res.level) << 2);
+        mix(outcomes, res.readyAt);
+    }
+    std::uint64_t d = outcomes;
+    for (unsigned c = 0; c < hp.cores; ++c) {
+        mix(d, h.l1(c).hits().value());
+        mix(d, h.l1(c).misses().value());
+    }
+    mix(d, h.l2().hits().value());
+    mix(d, h.l2().misses().value());
+    const Histogram &lookup = h.stats().lookupLatencyHist;
+    for (unsigned b = 0; b < lookup.buckets(); ++b)
+        mix(d, lookup.bucket(b));
+    mix(d, lookup.total());
+    mix(d, std::bit_cast<std::uint64_t>(lookup.sum()));
+    mix(d, backend.writebacks.size());
+    for (const Addr wb : backend.writebacks)
+        mix(d, wb);
+    EXPECT_GT(h.stats().writebacks.value(), 0u);
+    EXPECT_EQ(d, 0x3af9710e951dcc34ULL);
 }
 
 TEST_F(HierarchyTest, EarlyWakeOnMatchingCriticalWord)
