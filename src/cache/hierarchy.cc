@@ -10,13 +10,16 @@ namespace hetsim::cache
 Hierarchy::Hierarchy(const Params &params, cwf::MemoryBackend &backend)
     : params_(params), backend_(backend), l2_(params.l2),
       mshrs_(params.mshrs), prefetcher_(params.prefetch),
+      l1LatencyBucket_(stats_.lookupLatencyHist.bucketOf(params.l1Latency)),
+      l2LatencyBucket_(stats_.lookupLatencyHist.bucketOf(params.l2Latency)),
       check_(check::armed())
 {
     sim_assert(params_.cores > 0, "hierarchy needs cores");
+    l1s_.reserve(params_.cores);
     for (unsigned c = 0; c < params_.cores; ++c) {
         Cache::Params l1 = params_.l1;
         l1.name = "l1." + std::to_string(c);
-        l1s_.push_back(std::make_unique<Cache>(l1));
+        l1s_.emplace_back(l1);
     }
     backend_.setCallbacks(cwf::MemoryBackend::Callbacks{
         [this](std::uint64_t id, Tick now, bool parity_ok) {
@@ -26,18 +29,10 @@ Hierarchy::Hierarchy(const Params &params, cwf::MemoryBackend &backend)
     });
 }
 
-Hierarchy::AccessResult
-Hierarchy::load(std::uint8_t core, std::uint16_t slot, Addr addr, Tick now)
+void
+Hierarchy::checkL1Hit(std::uint8_t core, Addr line, Tick now) const
 {
-    stats_.loads.inc();
-    return accessImpl(core, slot, addr, now, /*is_store=*/false);
-}
-
-Hierarchy::AccessResult
-Hierarchy::store(std::uint8_t core, Addr addr, Tick now)
-{
-    stats_.stores.inc();
-    return accessImpl(core, /*slot=*/0, addr, now, /*is_store=*/true);
+    check::l1Hit(line, core, now, mshrs_.find(line) != nullptr);
 }
 
 Hierarchy::AccessResult
@@ -47,26 +42,8 @@ Hierarchy::accessImpl(std::uint8_t core, std::uint16_t slot, Addr addr,
     const Addr line = lineBase(addr);
     const unsigned word = wordOfLine(addr);
 
-    if (!is_store) {
-        HETSIM_TRACE_EVENT(trace::Event::CoreIssue, now, 0, line, core, 0,
-                           0, word);
-    }
-
-    // 1. Private L1.  By L2 inclusion an L1-resident line has no MSHR:
-    //    MSHRs are allocated only for lines absent from L2, and a fill
-    //    installs its line and releases its MSHR in one step.  So a hit
-    //    needs no MSHR probe; a miss is counted once step 2 rules out a
-    //    join, which never touched the L1.
-    Cache &l1 = *l1s_[core];
-    if (l1.hit(line, is_store)) {
-        if (check_) [[unlikely]]
-            check::l1Hit(line, core, now, mshrs_.find(line) != nullptr);
-        stats_.lookupLatencyHist.sample(
-            static_cast<double>(params_.l1Latency));
-        return {Outcome::Ready, now + params_.l1Latency, HitLevel::L1};
-    }
-
-    // 2. A fill for this line is already in flight: merge into the MSHR.
+    // 1. A fill for this line is already in flight: merge into the MSHR.
+    //    A join never touched the L1, so it counts no L1 miss.
     if (MshrEntry *entry = mshrs_.find(line)) {
         entry->demandJoined = true;
         if (word != entry->requestedWord &&
@@ -93,18 +70,18 @@ Hierarchy::accessImpl(std::uint8_t core, std::uint16_t slot, Addr addr,
                 entry->fastArrived};
     }
 
-    l1.countMiss();
+    l1s_[core].countMiss();
 
-    // 3. Shared L2 (inclusive).
+    // 2. Shared L2 (inclusive).
     if (l2_.access(line, /*mark_dirty=*/false)) {
         fillL1(core, line, is_store);
         trainAndPrefetch(core, line, now);
-        stats_.lookupLatencyHist.sample(
-            static_cast<double>(params_.l2Latency));
+        stats_.lookupLatencyHist.sampleIn(
+            l2LatencyBucket_, static_cast<double>(params_.l2Latency));
         return {Outcome::Ready, now + params_.l2Latency, HitLevel::L2};
     }
 
-    // 4. LLC miss.
+    // 3. LLC miss.
     if (!mshrs_.hasFree()) {
         mshrs_.noteFullStall();
         stats_.blockedAccesses.inc();
@@ -308,8 +285,8 @@ Hierarchy::installLine(MshrEntry &entry, Tick now)
         bool dirty = ev.dirty;
         // Inclusive L2: purge the victim from every L1, folding dirty
         // data into the writeback.
-        for (auto &l1 : l1s_) {
-            if (l1->invalidate(ev.lineAddr))
+        for (Cache &l1 : l1s_) {
+            if (l1.invalidate(ev.lineAddr))
                 dirty = true;
         }
         if (dirty)
@@ -324,7 +301,7 @@ Hierarchy::installLine(MshrEntry &entry, Tick now)
 void
 Hierarchy::fillL1(std::uint8_t core, Addr line_addr, bool dirty)
 {
-    Cache &l1 = *l1s_[core];
+    Cache &l1 = l1s_[core];
     if (l1.probe(line_addr)) {
         if (dirty)
             l1.access(line_addr, true);
@@ -418,8 +395,8 @@ void
 Hierarchy::resetStats()
 {
     stats_ = HierStats{};
-    for (auto &l1 : l1s_)
-        l1->resetStats();
+    for (Cache &l1 : l1s_)
+        l1.resetStats();
     l2_.resetStats();
     mshrs_.resetStats();
     prefetcher_.resetStats();

@@ -18,7 +18,6 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <memory>
 #include <unordered_map>
 #include <vector>
 
@@ -26,6 +25,7 @@
 #include "cache/mshr.hh"
 #include "cache/prefetcher.hh"
 #include "common/stats.hh"
+#include "common/trace.hh"
 #include "common/types.hh"
 #include "core/memory_backend.hh"
 
@@ -77,12 +77,30 @@ class Hierarchy
     void setWakeFn(WakeFn fn) { wake_ = std::move(fn); }
     void setBulkMarkFn(BulkMarkFn fn) { bulkMark_ = std::move(fn); }
 
-    /** Issue a load; Pending means the core will be woken via WakeFn. */
-    AccessResult load(std::uint8_t core, std::uint16_t slot, Addr addr,
-                      Tick now);
+    /** Issue a load; Pending means the core will be woken via WakeFn.
+     *  An L1 hit resolves inline; a miss goes to accessImpl(). */
+    AccessResult
+    load(std::uint8_t core, std::uint16_t slot, Addr addr, Tick now)
+    {
+        stats_.loads.inc();
+        const Addr line = lineBase(addr);
+        HETSIM_TRACE_EVENT(trace::Event::CoreIssue, now, 0, line, core, 0,
+                           0, wordOfLine(addr));
+        if (l1s_[core].hit(line, /*mark_dirty=*/false)) [[likely]]
+            return l1Hit(core, line, now);
+        return accessImpl(core, slot, addr, now, /*is_store=*/false);
+    }
 
     /** Issue a store (never blocks the ROB beyond Blocked-retry). */
-    AccessResult store(std::uint8_t core, Addr addr, Tick now);
+    AccessResult
+    store(std::uint8_t core, Addr addr, Tick now)
+    {
+        stats_.stores.inc();
+        const Addr line = lineBase(addr);
+        if (l1s_[core].hit(line, /*mark_dirty=*/true)) [[likely]]
+            return l1Hit(core, line, now);
+        return accessImpl(core, /*slot=*/0, addr, now, /*is_store=*/true);
+    }
 
     /** Per-tick housekeeping: drains the writeback queue. */
     void tick(Tick now);
@@ -133,7 +151,7 @@ class Hierarchy
     /** MshrFile::checkDrained on this hierarchy's MSHRs. */
     void checkDrained() { mshrs_.checkDrained(); }
     const Cache &l2() const { return l2_; }
-    const Cache &l1(unsigned core) const { return *l1s_[core]; }
+    const Cache &l1(unsigned core) const { return l1s_[core]; }
     const StridePrefetcher &prefetcher() const { return prefetcher_; }
 
     void resetStats();
@@ -156,6 +174,23 @@ class Hierarchy
     }
 
   private:
+    /** Result of an L1 hit on @p line.  By L2 inclusion an L1-resident
+     *  line has no MSHR: MSHRs are allocated only for lines absent from
+     *  L2, and a fill installs its line and releases its MSHR in one
+     *  step.  So a hit needs no MSHR probe, except by the validator. */
+    AccessResult
+    l1Hit(std::uint8_t core, Addr line, Tick now)
+    {
+        if (check_) [[unlikely]]
+            checkL1Hit(core, line, now);
+        stats_.lookupLatencyHist.sampleIn(
+            l1LatencyBucket_, static_cast<double>(params_.l1Latency));
+        return {Outcome::Ready, now + params_.l1Latency, HitLevel::L1};
+    }
+
+    void checkL1Hit(std::uint8_t core, Addr line, Tick now) const;
+
+    /** An access that missed its L1: MSHR join, L2, or LLC miss. */
     AccessResult accessImpl(std::uint8_t core, std::uint16_t slot,
                             Addr addr, Tick now, bool is_store);
 
@@ -172,7 +207,7 @@ class Hierarchy
     WakeFn wake_;
     BulkMarkFn bulkMark_;
 
-    std::vector<std::unique_ptr<Cache>> l1s_;
+    std::vector<Cache> l1s_;
     Cache l2_;
     MshrFile mshrs_;
     StridePrefetcher prefetcher_;
@@ -181,6 +216,9 @@ class Hierarchy
     std::vector<Addr> prefetchScratch_;
 
     HierStats stats_;
+    /** lookupLatencyHist buckets of an L1 and an L2 hit. */
+    std::size_t l1LatencyBucket_;
+    std::size_t l2LatencyBucket_;
     std::unordered_map<Addr, LineHist> lineCriticality_;
     std::unordered_map<std::uint64_t, std::uint64_t> pageCounts_;
     /** Built while check::armed(): run the stateless validator rules. */

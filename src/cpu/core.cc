@@ -1,5 +1,7 @@
 #include "cpu/core.hh"
 
+#include <algorithm>
+
 #include "common/log.hh"
 
 namespace hetsim::cpu
@@ -25,25 +27,37 @@ Core::lastLoadPending(Tick now) const
 void
 Core::tick(Tick now)
 {
-    const std::uint64_t retired_before = retired_;
+    // The ROB cursors live in locals for the whole tick and are written
+    // back once, not once per op.  Nothing the hierarchy calls back
+    // (wake(), markBulkWait()) touches them.
+    Tick *ready_at = readyAt_.data();
+    unsigned head = head_;
+    unsigned tail = tail_;
+    unsigned count = count_;
 
     // ---- retire ----
-    for (unsigned w = 0; w < params_.width && count_ > 0; ++w) {
-        if (readyAt_[head_] > now)
-            break;
-        head_ = nextSlot(head_);
-        count_ -= 1;
-        retired_ += 1;
+    const unsigned max_retire = std::min(params_.width, count);
+    unsigned retiring = 0;
+    while (retiring < max_retire && ready_at[head] <= now) {
+        head = nextSlot(head);
+        retiring += 1;
     }
+    count -= retiring;
+    retired_ += retiring;
 
     // ---- dispatch ----
     for (unsigned w = 0; w < params_.width; ++w) {
-        if (robFull()) {
+        if (count == params_.robSize) {
             dispatchStalls_ += 1;
             break;
         }
-        const workloads::MicroOp op =
-            hasPendingOp_ ? pendingOp_ : source_();
+        workloads::MicroOp op;
+        if (hasPendingOp_) {
+            op = pendingOp_;
+            hasPendingOp_ = false;
+        } else {
+            op = source_();
+        }
 
         if (op.isMem && op.dependsOnPrev && lastLoadPending(now)) {
             pendingOp_ = op;
@@ -67,7 +81,7 @@ Core::tick(Tick now)
             ready = res.readyAt;
         } else {
             const cache::Hierarchy::AccessResult res = hierarchy_.load(
-                id_, static_cast<std::uint16_t>(tail_), op.addr, now);
+                id_, static_cast<std::uint16_t>(tail), op.addr, now);
             if (res.outcome == cache::Hierarchy::Outcome::Blocked) {
                 pendingOp_ = op;
                 hasPendingOp_ = true;
@@ -78,21 +92,23 @@ Core::tick(Tick now)
                 ready = res.readyAt;
             else
                 ready = res.bulkWait ? kParkedBulk : kParked;
-            lastLoadSlot_ = tail_;
-            lastLoadSeq_ = retired_ + count_ + 1;
+            lastLoadSlot_ = tail;
+            lastLoadSeq_ = retired_ + count + 1;
         }
 
-        readyAt_[tail_] = ready;
-        tail_ = nextSlot(tail_);
-        count_ += 1;
-        hasPendingOp_ = false;
+        ready_at[tail] = ready;
+        tail = nextSlot(tail);
+        count += 1;
     }
 
-    robOccupancySum_ += count_;
+    head_ = head;
+    tail_ = tail;
+    count_ = count;
+    robOccupancySum_ += count;
 
     // ---- CPI-stack attribution ----
     const CpiBucket bucket =
-        retired_ != retired_before ? CpiBucket::Compute : stallBucket();
+        retiring != 0 ? CpiBucket::Compute : stallBucket();
     cpi_[static_cast<unsigned>(bucket)] += 1;
 }
 

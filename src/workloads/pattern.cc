@@ -47,21 +47,46 @@ MixPattern::accumulate(double weight)
 }
 
 void
+MixPattern::setCuts()
+{
+    // x * 2^-53 * totalWeight_ never decreases as x grows (each step is
+    // exact or correctly rounded), so the draws x with x * 2^-53 *
+    // totalWeight_ < cumWeight are a prefix [0, cut) of [0, 2^53].
+    cuts_.clear();
+    for (const Part &part : parts_) {
+        std::uint64_t lo = 0, hi = 1ULL << 53;
+        while (lo < hi) {
+            const std::uint64_t mid = lo + (hi - lo) / 2;
+            if (static_cast<double>(mid) * 0x1.0p-53 * totalWeight_ <
+                part.cumWeight) {
+                lo = mid + 1;
+            } else {
+                hi = mid;
+            }
+        }
+        cuts_.push_back(lo);
+    }
+}
+
+void
 MixPattern::add(const StreamPattern &pattern, double weight)
 {
     parts_.emplace_back(pattern, accumulate(weight));
+    setCuts();
 }
 
 void
 MixPattern::add(const PointerChasePattern &pattern, double weight)
 {
     parts_.emplace_back(Kind::Chase, pattern, accumulate(weight));
+    setCuts();
 }
 
 void
 MixPattern::add(const RandomPattern &pattern, double weight)
 {
     parts_.emplace_back(Kind::Random, pattern, accumulate(weight));
+    setCuts();
 }
 
 std::array<double, kWordsPerLine>

@@ -163,7 +163,15 @@ class RandomPattern : public PointerChasePattern
     bool dependent() const { return false; }
 };
 
-/** Weighted mixture of patterns, held by value in one tagged part list. */
+/**
+ * Weighted mixture of patterns, held by value in one tagged part list.
+ *
+ * Each draw picks a part by comparing one 53-bit draw x against integer
+ * cuts: part i is the first whose cut exceeds x.  add() sets the cuts
+ * so this is exactly the pick of the floating-point scan it replaced,
+ * the first part with x * 2^-53 * totalWeight < cumWeight, as
+ * Rng::Threshold does for chance().
+ */
 class MixPattern
 {
   public:
@@ -174,23 +182,36 @@ class MixPattern
     Addr
     next(Rng &rng)
     {
-        sim_assert(!parts_.empty(), "empty mix pattern");
-        const double u = rng.uniform() * totalWeight_;
-        Part *part = &parts_.back();
-        for (Part &p : parts_) {
-            if (u < p.cumWeight) {
-                part = &p;
-                break;
-            }
-        }
-        lastDependent_ = part->kind == Kind::Chase;
-        if (part->kind == Kind::Stream)
-            return part->stream.next(rng);
-        return part->chase.next(rng);
+        Part &part = parts_[partOf53(rng.next() >> 11)];
+        lastDependent_ = part.kind == Kind::Chase;
+        if (part.kind == Kind::Stream)
+            return part.stream.next(rng);
+        return part.chase.next(rng);
     }
 
     /** Whether the last address came from a dependent pattern. */
     bool dependent() const { return lastDependent_; }
+
+    /** Index of the part the 53-bit draw @p x picks. */
+    std::size_t
+    partOf53(std::uint64_t x) const
+    {
+        sim_assert(!cuts_.empty(), "empty mix pattern");
+        // A draw past every earlier cut picks the last part, also when
+        // x * 2^-53 * totalWeight rounds up to totalWeight: its own cut
+        // needs no compare.
+        const std::size_t last = cuts_.size() - 1;
+        for (std::size_t i = 0; i < last; ++i) {
+            if (x < cuts_[i])
+                return i;
+        }
+        return last;
+    }
+
+    /** Draws below which partOf53() picks part @p i or an earlier one. */
+    std::uint64_t cut(std::size_t i) const { return cuts_.at(i); }
+
+    std::size_t parts() const { return parts_.size(); }
 
   private:
     enum class Kind : std::uint8_t { Stream, Chase, Random };
@@ -219,8 +240,13 @@ class MixPattern
 
     /** Checks @p weight and returns the cumulative weight it ends at. */
     double accumulate(double weight);
+    /** Recomputes every part's cut for the current totalWeight_. */
+    void setCuts();
 
     std::vector<Part> parts_;
+    /** Per part, the draws below which it or an earlier part is
+     *  picked; contiguous, for the scan in partOf53(). */
+    std::vector<std::uint64_t> cuts_;
     double totalWeight_ = 0;
     bool lastDependent_ = false;
 };

@@ -188,6 +188,62 @@ TEST(MixPattern, DependentFlagTracksLastComponent)
     EXPECT_TRUE(mix.dependent());
 }
 
+/** The part the floating-point scan that integer cuts replaced picks
+ *  for the 53-bit draw @p x: the first with uniform() * total < cum. */
+std::size_t
+scanPick(const std::vector<double> &cum, std::uint64_t x)
+{
+    const double u = static_cast<double>(x) * 0x1.0p-53 * cum.back();
+    for (std::size_t i = 0; i < cum.size(); ++i) {
+        if (u < cum[i])
+            return i;
+    }
+    return cum.size() - 1;
+}
+
+/** MixPattern's integer pick equals scanPick() at each part's cut - 1,
+ *  cut and cut + 1, at draws 0 and 2^53 - 1, and at 100k random draws. */
+void
+expectPickMatchesScan(const std::vector<double> &weights,
+                      const std::string &what)
+{
+    MixPattern mix;
+    std::vector<double> cum;
+    double total = 0;
+    for (const double w : weights) {
+        mix.add(StreamPattern(0, 1 << 20, 8, 0), w);
+        total += w;
+        cum.push_back(total);
+    }
+    ASSERT_EQ(mix.parts(), weights.size());
+    constexpr std::uint64_t kDraws = 1ULL << 53;
+    std::vector<std::uint64_t> xs{0, kDraws - 1};
+    for (std::size_t i = 0; i < mix.parts(); ++i) {
+        const std::uint64_t cut = mix.cut(i);
+        for (const std::uint64_t x : {cut - 1, cut, cut + 1}) {
+            if (x < kDraws) // cut - 1 wraps when cut is 0
+                xs.push_back(x);
+        }
+    }
+    Rng rng(31);
+    for (int i = 0; i < 100000; ++i)
+        xs.push_back(rng.next() >> 11);
+    for (const std::uint64_t x : xs)
+        ASSERT_EQ(mix.partOf53(x), scanPick(cum, x)) << what << " x=" << x;
+}
+
+TEST(MixPattern, IntegerPickMatchesFloatingPointScan)
+{
+    for (const BenchmarkProfile &prof : suite::all()) {
+        std::vector<double> weights;
+        for (const PatternSpec &spec : prof.patterns)
+            weights.push_back(spec.weight);
+        expectPickMatchesScan(weights, prof.name);
+    }
+    // Weights that do not sum to a power of two.
+    expectPickMatchesScan({0.7, 1.9, 0.35}, "0.7/1.9/0.35");
+}
+
 // --------------------------------------------------------- generator
 
 TEST(WorkloadGenerator, DeterministicPerSeed)
