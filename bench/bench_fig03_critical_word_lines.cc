@@ -7,6 +7,7 @@
  */
 
 #include <algorithm>
+#include <sstream>
 
 #include "bench_util.hh"
 #include "sim/system.hh"
@@ -53,16 +54,19 @@ analyse(const std::string &bench, const ExperimentScale &scale)
     const std::size_t top = std::min<std::size_t>(ranked.size(), 10);
     for (std::size_t i = 0; i < top; ++i) {
         const auto &hist = crit.at(ranked[i].first);
-        std::vector<std::string> row{
-            "0x" + std::to_string(ranked[i].first >> kLineShift),
-            std::to_string(ranked[i].second)};
+        std::ostringstream line;
+        line << "0x" << std::hex << (ranked[i].first >> kLineShift);
+        std::vector<std::string> row{line.str(),
+                                     std::to_string(ranked[i].second)};
         unsigned best = 0;
         for (unsigned w = 0; w < kWordsPerLine; ++w) {
             row.push_back(std::to_string(hist[w]));
             if (hist[w] > hist[best])
                 best = w;
         }
-        row.push_back("w" + std::to_string(best));
+        std::string dominant = "w";
+        dominant += std::to_string(best);
+        row.push_back(std::move(dominant));
         t.addRow(std::move(row));
     }
 
