@@ -11,7 +11,9 @@
  *
  * Each section's output is preceded by a "######## <section>" line.  One
  * "json reports:" line before the first section says whether runs are
- * exported (HETSIM_JSON_DIR).
+ * exported (HETSIM_JSON_DIR).  Armed with HETSIM_CHECK_MODE=collect, it
+ * prints the validator's report to stderr at exit and exits non-zero if
+ * a violation was recorded.
  */
 
 #include <cstdlib>
@@ -20,6 +22,7 @@
 #include <vector>
 
 #include "bench_util.hh"
+#include "check/checker.hh"
 #include "common/log.hh"
 
 using namespace hetsim;
@@ -101,5 +104,6 @@ main(int argc, char **argv)
         std::cout << "######## " << s->name << "\n";
         s->run(runner);
     }
-    return 0;
+    std::cout.flush();
+    return check::collectExitStatus();
 }

@@ -6,11 +6,15 @@
  *
  * Usage:
  *   quickstart [bench=<name>] [sim.reads=<N>] [mem.config=<RL|RD|DL|...>]
+ *
+ * Armed with HETSIM_CHECK_MODE=collect, it prints the validator's report
+ * to stderr at exit and exits non-zero if a violation was recorded.
  */
 
 #include <cstdio>
 #include <iostream>
 
+#include "check/checker.hh"
 #include "common/config.hh"
 #include "common/table.hh"
 #include "common/trace.hh"
@@ -89,5 +93,6 @@ main(int argc, char **argv)
                   << tracer.recorded() << " events, " << tracer.dropped()
                   << " dropped)\n";
     }
-    return 0;
+    std::cout.flush();
+    return check::collectExitStatus();
 }

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cstdlib>
 #include <cstring>
+#include <iostream>
 #include <mutex>
 #include <sstream>
 
@@ -197,6 +198,16 @@ report()
            << v.where << ": " << v.message << "\n";
     }
     return os.str();
+}
+
+int
+collectExitStatus()
+{
+    if (!armed() || g_mode.load(std::memory_order_relaxed) != Mode::Collect)
+        return 0;
+    std::cerr << report();
+    std::lock_guard<std::mutex> lock(g_logMutex);
+    return g_log.empty() && g_suppressed == 0 ? 0 : 1;
 }
 
 namespace

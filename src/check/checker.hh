@@ -134,6 +134,12 @@ std::size_t count(Rule rule);
 /** Structured multi-line report of every recorded violation. */
 std::string report();
 
+/** A program's exit status once its runs are done.  While armed in
+ *  Collect mode it prints report() to stderr (its count line also when
+ *  nothing was recorded) and returns 1 if anything was; otherwise it
+ *  prints nothing and returns 0. */
+int collectExitStatus();
+
 // ---- stateless rules (hierarchy and channel call them while armed) ----
 
 void earlyWake(std::uint64_t id, Tick at, bool fast_arrived, Tick fast_tick,
